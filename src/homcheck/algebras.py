@@ -27,6 +27,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .identities import polarize
+from .normalform import mono_leaves
 
 BUNDLED = ("cross3", "cross3_rot", "m7", "m7_auto", "abelian4")
 
@@ -201,23 +202,26 @@ def element_add(parts):
     return {k: c for k, c in out.items() if c}
 
 
-def eval_monomial(spec, mono, values, _twists=None):
-    """Evaluate a canonical monomial; values[i] is the element for var i."""
+def _eval_mono(spec, mono, leaves):
+    """Evaluate a canonical monomial; leaves[(var, power)] is the element
+    at each of its leaves."""
     if isinstance(mono[0], int):
-        u = values[mono[0]]
-        for _ in range(mono[1]):
-            u = apply_twist(spec, u)
-        return u
+        return leaves[mono]
     return multiply(
-        spec,
-        eval_monomial(spec, mono[0], values),
-        eval_monomial(spec, mono[1], values),
+        spec, _eval_mono(spec, mono[0], leaves), _eval_mono(spec, mono[1], leaves)
     )
 
 
 def eval_poly(spec, poly, values):
+    """Evaluate an MPoly; values[i] is the element for var i."""
+    leaves = {}
+    for leaf in {leaf for mono in poly.coeffs for leaf in mono_leaves(mono)}:
+        u = values[leaf[0]]
+        for _ in range(leaf[1]):
+            u = apply_twist(spec, u)
+        leaves[leaf] = u
     return element_add(
-        (c, eval_monomial(spec, m, values)) for m, c in poly.coeffs.items()
+        (c, _eval_mono(spec, m, leaves)) for m, c in poly.coeffs.items()
     )
 
 
@@ -258,75 +262,25 @@ class Counterexample:
         return f"{assignment} -> {value}"
 
 
-def check_identity_concrete(spec, ident, jobs=1):
+def check_identity_concrete(spec, ident):
     """Evaluate the polarized identity on all basis tuples.
 
     Returns None when the identity holds, otherwise the Counterexample
-    at the first failing tuple in lexicographic tuple order (independent
-    of the parallelism setting).
+    at the first failing tuple in lexicographic tuple order.
     """
     ident = ident if ident.is_multilinear else polarize(ident)
-    m = len(ident.vars)
-    # cache twisted basis leaves: (power, basis index) -> element
-    twisted = {}
-    maxpow = max(
-        (p for mono in ident.poly.coeffs for _, p in _leaf_powers(mono)),
-        default=0,
-    )
-    for i in range(spec.dim):
-        u = spec.basis_element(i)
-        twisted[(0, i)] = u
-        for p in range(1, maxpow + 1):
-            u = apply_twist(spec, u)
-            twisted[(p, i)] = u
-
     terms = ident.poly.sorted_terms()
-
-    def probe(tup):
-        acc = {}
-        for mono, coeff in terms:
-            val = _eval_mono_tuple(spec, mono, tup, twisted)
-            for k, c in val.items():
-                acc[k] = acc.get(k, 0) + coeff * c
-        acc = {k: c for k, c in acc.items() if c}
-        if acc:
-            return Counterexample(
-                ident.vars, tuple(i + 1 for i in tup), acc
-            )
-        return None
-
-    tuples = itertools.product(range(spec.dim), repeat=m)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for res in pool.map(probe, tuples, chunksize=64):
-                if res is not None:
-                    return res
-        return None
-    for tup in tuples:
-        res = probe(tup)
-        if res is not None:
-            return res
+    leaf_set = {leaf for mono, _ in terms for leaf in mono_leaves(mono)}
+    # twisted[p][i] is a^p(e_i)
+    twisted = [[spec.basis_element(i) for i in range(spec.dim)]]
+    for _ in range(max((p for _, p in leaf_set), default=0)):
+        twisted.append([apply_twist(spec, u) for u in twisted[-1]])
+    for tup in itertools.product(range(spec.dim), repeat=len(ident.vars)):
+        leaves = {(v, p): twisted[p][tup[v]] for v, p in leaf_set}
+        value = element_add((c, _eval_mono(spec, m, leaves)) for m, c in terms)
+        if value:
+            return Counterexample(ident.vars, tuple(i + 1 for i in tup), value)
     return None
-
-
-def _leaf_powers(mono):
-    if isinstance(mono[0], int):
-        yield mono
-    else:
-        yield from _leaf_powers(mono[0])
-        yield from _leaf_powers(mono[1])
-
-
-def _eval_mono_tuple(spec, mono, tup, twisted):
-    if isinstance(mono[0], int):
-        return twisted[(mono[1], tup[mono[0]])]
-    return multiply(
-        spec,
-        _eval_mono_tuple(spec, mono[0], tup, twisted),
-        _eval_mono_tuple(spec, mono[1], tup, twisted),
-    )
 
 
 def yau_twist(spec):

@@ -22,9 +22,14 @@ from .algebras import (
     yau_twist,
 )
 from .consequence import Certificate, SearchBounds, derive
-from .dsl import ParseError, format_expr, parse_expr
-from .identities import CATALOG_NAMES, catalog, identity_from_dsl, polarize
-from .normalform import normalize
+from .dsl import ParseError, format_expr, has_vars_header
+from .identities import (
+    CATALOG_NAMES,
+    catalog,
+    identity_from_dsl,
+    polarize,
+    rename,
+)
 from .verify import verify_paper
 
 EXIT_OK = 0
@@ -59,26 +64,22 @@ def _emit(args, obj, text):
 
 
 def cmd_normalize(args):
-    expr = parse_expr(args.expr)
-    if not args.expr.lstrip().startswith("vars") and expr.vars:
+    ident = identity_from_dsl(args.expr)
+    if not has_vars_header(args.expr):
         # stable display order when the input does not pin one
-        header = f"vars {','.join(sorted(expr.vars))}; "
-        expr = parse_expr(header + args.expr)
-    poly = normalize(expr)
-    out = format_expr(poly, expr.vars)
-    _emit(args, {"input": args.expr, "normal_form": out, "vars": list(expr.vars)}, out)
+        ident = rename(ident, {}, sorted(ident.vars))
+    out = format_expr(ident.poly, ident.vars)
+    _emit(args, {"input": args.expr, "normal_form": out, "vars": list(ident.vars)}, out)
     return EXIT_OK
 
 
 def cmd_equal(args):
-    e1, e2 = parse_expr(args.expr1), parse_expr(args.expr2)
-    # compare over the union variable context: reparse the second with the
-    # first expression's variable order extended by its own new variables
-    names = list(e1.vars) + [v for v in e2.vars if v not in e1.vars]
-    header = f"vars {','.join(names)}; " if names else ""
-    p1 = normalize(parse_expr(header + args.expr1))
-    p2 = normalize(parse_expr(header + args.expr2))
-    equal = p1 == p2
+    i1, i2 = identity_from_dsl(args.expr1), identity_from_dsl(args.expr2)
+    # compare over the union variable table: the first expression's
+    # variable order (so its indices stay valid) extended by the second's
+    # new variables
+    names = i1.vars + tuple(v for v in i2.vars if v not in i1.vars)
+    equal = i1.poly == rename(i2, {}, names).poly
     _emit(args, {"equal": equal}, "equal" if equal else "not equal")
     return EXIT_OK if equal else EXIT_NEGATIVE
 
@@ -97,7 +98,8 @@ def cmd_polarize(args):
 def cmd_derive(args):
     target = _resolve_identity(args.target)
     axioms = [_resolve_identity(a) for a in args.axiom]
-    result, polarized = derive(target, axioms, _bounds(args), jobs=args.jobs)
+    bounds = _bounds(args)
+    result, polarized = derive(target, axioms, bounds)
     if isinstance(result, Certificate):
         obj = {
             "status": "certificate",
@@ -109,7 +111,7 @@ def cmd_derive(args):
         return EXIT_OK
     obj = {
         "status": "not_in_span",
-        "max_alpha_power": _bounds(args).max_alpha_power,
+        "max_alpha_power": bounds.max_alpha_power,
         "residual_monomials": result.residual_monomials,
         "residual": format_expr(result.residual, polarized.vars),
     }
@@ -123,7 +125,7 @@ def cmd_derive(args):
 
 
 def cmd_verify_paper(args):
-    report = verify_paper(_bounds(args), jobs=args.jobs)
+    report = verify_paper(_bounds(args))
     lines = [
         f"step {s.number}/9: {'PASS' if s.passed else 'FAIL'} - {s.title}"
         + (f" ({s.detail})" if s.detail else "")
@@ -137,7 +139,7 @@ def cmd_verify_paper(args):
 def cmd_check(args):
     spec = load_algebra_file(args.algebra)
     ident = _resolve_identity(args.identity)
-    res = check_identity_concrete(spec, ident, jobs=args.jobs)
+    res = check_identity_concrete(spec, ident)
     if res is None:
         _emit(args, {"verdict": "holds"}, "Holds")
         return EXIT_OK
@@ -174,10 +176,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, jobs=True, k=False):
+    def common(p, k=False):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1, metavar="N")
         if k:
             p.add_argument(
                 "--K",
@@ -189,18 +189,18 @@ def build_parser():
 
     p = sub.add_parser("normalize", help="print the canonical normal form")
     p.add_argument("expr")
-    common(p, jobs=False)
+    common(p)
     p.set_defaults(fn=cmd_normalize)
 
     p = sub.add_parser("equal", help="compare two expressions semantically")
     p.add_argument("expr1")
     p.add_argument("expr2")
-    common(p, jobs=False)
+    common(p)
     p.set_defaults(fn=cmd_equal)
 
     p = sub.add_parser("polarize", help="fully multilinearize an identity")
     p.add_argument("identity", help="catalog name or DSL expression")
-    common(p, jobs=False)
+    common(p)
     p.set_defaults(fn=cmd_polarize)
 
     p = sub.add_parser("derive", help="consequence check with certificate")
@@ -227,7 +227,7 @@ def build_parser():
     p = sub.add_parser("twist", help="apply the twisting construction to an algebra")
     p.add_argument("algebra", help="algebra JSON path or bundled name")
     p.add_argument("-o", "--output", help="write the twisted algebra here")
-    common(p, jobs=False)
+    common(p)
     p.set_defaults(fn=cmd_twist)
 
     return parser
@@ -240,7 +240,14 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (`| head`).  Point stdout at devnull
+        # so the flush at interpreter exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_NEGATIVE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

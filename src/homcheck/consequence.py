@@ -15,8 +15,7 @@ by restricted-growth string, block assignments in permutation order,
 monomial choices in monomial order, then a stable sort by total twist
 weight), deduplicated up to overall scaling keeping the first
 occurrence, and eliminated with first-nonzero-in-monomial-order
-pivoting.  Identical inputs therefore produce identical certificates,
-independent of the parallelism setting.
+pivoting.  Identical inputs therefore produce identical certificates.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .identities import Identity, Substitution, polarize, substitute
@@ -155,7 +153,7 @@ def _set_partitions(items, blocks):
     yield from rec(0, [], 0)
 
 
-def generate_instances(axiom, target_vars, bounds=None, jobs=1):
+def generate_instances(axiom, target_vars, bounds=None):
     """All substitution instances of a multilinear axiom over the target
     variables, deduplicated up to overall rational scaling.
 
@@ -174,7 +172,7 @@ def generate_instances(axiom, target_vars, bounds=None, jobs=1):
             f"axiom has {b} variables but the target only {n}"
         )
     name = axiom.name or "axiom"
-    subs = []
+    built = []
     for part in _set_partitions(range(n), b):
         choices = [
             enumerate_monomials(block, bounds.max_alpha_power) for block in part
@@ -182,18 +180,10 @@ def generate_instances(axiom, target_vars, bounds=None, jobs=1):
         for perm in itertools.permutations(range(b)):
             # axiom variable i receives a monomial over block perm[i]
             for picks in itertools.product(*(choices[perm[i]] for i in range(b))):
-                subs.append(Substitution(tuple(picks), target_vars))
-
-    def build(sub):
-        return Instance(name, axiom.vars, sub, substitute(axiom, sub))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            built = list(pool.map(build, subs, chunksize=64))
-    else:
-        built = [build(s) for s in subs]
-
-    built = [inst for inst in built if not inst.identity.poly.is_zero]
+                sub = Substitution(tuple(picks), target_vars)
+                inst = Instance(name, axiom.vars, sub, substitute(axiom, sub))
+                if not inst.identity.poly.is_zero:
+                    built.append(inst)
     built.sort(key=lambda inst: inst.weight())  # stable: ties keep order
     out, seen = [], set()
     for inst in built:
@@ -305,11 +295,12 @@ def span_membership(target, instances):
         (instances[i], c) for i, c in sorted(tcombo.items()) if c
     ]
     cert = Certificate(target, rows)
-    assert cert.replay() == target.poly, "certificate replay mismatch"
+    if cert.replay() != target.poly:
+        raise RuntimeError("certificate replay mismatch")
     return cert
 
 
-def derive(target, axioms, bounds=None, jobs=1):
+def derive(target, axioms, bounds=None):
     """End-to-end consequence check: polarize target and axioms as
     needed, enumerate instances, decide span membership.
 
@@ -328,5 +319,5 @@ def derive(target, axioms, bounds=None, jobs=1):
         ax = axiom if axiom.is_multilinear else polarize(axiom)
         if len(ax.vars) > len(target.vars):
             continue
-        instances.extend(generate_instances(ax, target.vars, bounds, jobs=jobs))
+        instances.extend(generate_instances(ax, target.vars, bounds))
     return span_membership(target, instances), target

@@ -326,6 +326,12 @@ def parse_expr(text):
     return _Parser(text).parse()
 
 
+def has_vars_header(text):
+    """True when ``text`` opens with a ``vars ...;`` header (``vars`` is
+    reserved, so a leading ``vars`` token can only start one)."""
+    return _tokenize(text)[0][1] == "vars"
+
+
 # ---------------------------------------------------------------------------
 # formatting
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 from .dsl import format_monomial, parse_expr
 from .normalform import (
-    MPoly,
-    canon,
+    canon_sum,
     mono_leaves,
     multidegree,
     normalize,
@@ -93,14 +92,13 @@ def substitute(ident, sub):
             f"substitution maps {len(sub.images)} variables, "
             f"identity has {len(ident.vars)}"
         )
-    acc = {}
-    for mono, coeff in ident.poly.coeffs.items():
-        res = canon(_map_leaves(mono, sub.images))
-        if res is None:
-            continue
-        sign, m = res
-        acc[m] = acc.get(m, 0) + sign * coeff
-    return Identity(sub.target_vars, MPoly(acc))
+    return Identity(
+        sub.target_vars,
+        canon_sum(
+            (coeff, _map_leaves(mono, sub.images))
+            for mono, coeff in ident.poly.coeffs.items()
+        ),
+    )
 
 
 def rename(ident, mapping, target_vars):
@@ -136,29 +134,23 @@ def polarize(ident):
         fresh[i] = list(range(len(new_vars), len(new_vars) + degs[i]))
         new_vars.extend(f"{ident.vars[i]}#{j + 1}" for j in range(degs[i]))
 
-    acc = {}
-    for mono, coeff in ident.poly.coeffs.items():
-        leaves = list(mono_leaves(mono))
-        # occurrence slots of each repeated variable, left to right
-        slots = {i: [] for i in repeated}
-        for pos, (v, _) in enumerate(leaves):
-            if v in repeated:
-                slots[v].append(pos)
-        for perms in itertools.product(
-            *(itertools.permutations(fresh[i]) for i in repeated)
-        ):
-            assign = {}
-            for i, perm in zip(repeated, perms):
-                for pos, new_idx in zip(slots[i], perm):
-                    assign[pos] = new_idx
-            counter = itertools.count()
-            relabeled = _relabel(mono, remap, assign, counter)
-            res = canon(relabeled)
-            if res is None:
-                continue
-            sign, m = res
-            acc[m] = acc.get(m, 0) + sign * coeff
-    return Identity(tuple(new_vars), MPoly(acc), ident.name)
+    def relabeled_terms():
+        for mono, coeff in ident.poly.coeffs.items():
+            # occurrence slots of each repeated variable, left to right
+            slots = {i: [] for i in repeated}
+            for pos, (v, _) in enumerate(mono_leaves(mono)):
+                if v in repeated:
+                    slots[v].append(pos)
+            for perms in itertools.product(
+                *(itertools.permutations(fresh[i]) for i in repeated)
+            ):
+                assign = {}
+                for i, perm in zip(repeated, perms):
+                    for pos, new_idx in zip(slots[i], perm):
+                        assign[pos] = new_idx
+                yield coeff, _relabel(mono, remap, assign, itertools.count())
+
+    return Identity(tuple(new_vars), canon_sum(relabeled_terms()), ident.name)
 
 
 def _relabel(mono, remap, assign, counter):

@@ -22,11 +22,10 @@ from fractions import Fraction
 
 from .dsl import RawExpr
 
+# Memo of mono_key; emptied when it reaches _KEY_CACHE_MAX entries so a
+# long-lived process cannot grow it without bound.
 _key_cache = {}
-
-
-def is_leaf(mono):
-    return isinstance(mono[0], int)
+_KEY_CACHE_MAX = 1 << 16
 
 
 def mono_key(mono):
@@ -38,6 +37,8 @@ def mono_key(mono):
         else:
             kl, kr = mono_key(mono[0]), mono_key(mono[1])
             key = (kl[0] + kr[0], 1, kl, kr)
+        if len(_key_cache) >= _KEY_CACHE_MAX:
+            _key_cache.clear()
         _key_cache[mono] = key
     return key
 
@@ -47,10 +48,6 @@ def compare_monomials(m1, m2):
     if m1 == m2:
         return 0
     return -1 if mono_key(m1) < mono_key(m2) else 1
-
-
-def leaf_count(mono):
-    return mono_key(mono)[0]
 
 
 def mono_leaves(mono):
@@ -84,6 +81,19 @@ def canon(tree):
     if c < 0:
         return sl * sr, (ml, mr)
     return -sl * sr, (mr, ml)
+
+
+def canon_sum(terms):
+    """MPoly of a sum of (coefficient, product tree) pairs, each tree
+    canonicalized by ``canon``; vanishing trees are dropped."""
+    acc = {}
+    for coeff, tree in terms:
+        res = canon(tree)
+        if res is None:
+            continue
+        sign, mono = res
+        acc[mono] = acc.get(mono, 0) + sign * coeff
+    return MPoly(acc)
 
 
 def shift_power(mono, k):
@@ -158,27 +168,14 @@ class MPoly:
 ZERO = MPoly()
 
 
-def _flatten(term, power):
-    # term: raw term tuple; returns (sign, monomial) or None
+def _push_twists(term, power):
+    # raw term -> product tree over canonical (var, power) leaves
     tag = term[0]
     if tag == "var":
-        return 1, (term[1], power)
+        return (term[1], power)
     if tag == "twist":
-        return _flatten(term[1], power + 1)
-    left = _flatten(term[1], power)
-    if left is None:
-        return None
-    right = _flatten(term[2], power)
-    if right is None:
-        return None
-    sl, ml = left
-    sr, mr = right
-    c = compare_monomials(ml, mr)
-    if c == 0:
-        return None
-    if c < 0:
-        return sl * sr, (ml, mr)
-    return -sl * sr, (mr, ml)
+        return _push_twists(term[1], power + 1)
+    return (_push_twists(term[1], power), _push_twists(term[2], power))
 
 
 def normalize(expr):
@@ -187,14 +184,7 @@ def normalize(expr):
         return expr
     if not isinstance(expr, RawExpr):
         raise TypeError(f"cannot normalize {type(expr).__name__}")
-    acc = {}
-    for coeff, term in expr.terms:
-        flat = _flatten(term, 0)
-        if flat is None:
-            continue
-        sign, mono = flat
-        acc[mono] = acc.get(mono, 0) + sign * coeff
-    return MPoly(acc)
+    return canon_sum((coeff, _push_twists(term, 0)) for coeff, term in expr.terms)
 
 
 def poly_combine(parts):
@@ -230,15 +220,7 @@ def multidegree(poly, nvars):
 
 def poly_strip_twist(poly):
     """Set every leaf twist power to 0 and renormalize (alpha = Id)."""
-    acc = {}
-    for mono, coeff in poly.coeffs.items():
-        stripped = _strip(mono)
-        res = canon(stripped)
-        if res is None:
-            continue
-        sign, m = res
-        acc[m] = acc.get(m, 0) + sign * coeff
-    return MPoly(acc)
+    return canon_sum((coeff, _strip(mono)) for mono, coeff in poly.coeffs.items())
 
 
 def _strip(mono):

@@ -68,8 +68,8 @@ def _perm_sign(perm):
     return sign
 
 
-def _derive_step(number, title, target, axioms, bounds, jobs):
-    res, _ = derive(target, axioms, bounds, jobs=jobs)
+def _derive_step(number, title, target, axioms, bounds):
+    res, _ = derive(target, axioms, bounds)
     if isinstance(res, Certificate):
         return Step(
             number,
@@ -87,7 +87,7 @@ def _derive_step(number, title, target, axioms, bounds, jobs):
     )
 
 
-def verify_paper(bounds=None, jobs=1):
+def verify_paper(bounds=None):
     """Run the nine verification steps in order and report each."""
     bounds = bounds or SearchBounds()
     steps = []
@@ -133,7 +133,6 @@ def verify_paper(bounds=None, jobs=1):
         g_rep,
         [hom_malcev],
         bounds,
-        jobs,
     )
     step3.passed = step3.passed and free_ok
     if not free_ok:
@@ -143,14 +142,14 @@ def verify_paper(bounds=None, jobs=1):
     # 4-6: the auxiliary identities as consequences.
     steps.append(
         _derive_step(4, "cyclic Jacobian sum (eq_2_2)", catalog("eq_2_2"),
-                     [hom_malcev], bounds, jobs)
+                     [hom_malcev], bounds)
     )
     steps.append(
         _derive_step(5, "2G through Jacobians (eq_2_3)", catalog("eq_2_3"),
-                     [hom_malcev], bounds, jobs)
+                     [hom_malcev], bounds)
     )
-    step6a = _derive_step(6, "", catalog("eq_2_5"), [hom_malcev], bounds, jobs)
-    step6b = _derive_step(6, "", catalog("eq_2_4"), [hom_malcev], bounds, jobs)
+    step6a = _derive_step(6, "", catalog("eq_2_5"), [hom_malcev], bounds)
+    step6b = _derive_step(6, "", catalog("eq_2_4"), [hom_malcev], bounds)
     steps.append(
         Step(
             6,
@@ -169,7 +168,6 @@ def verify_paper(bounds=None, jobs=1):
             identity_1_2,
             [hom_malcev],
             bounds,
-            jobs,
         )
     )
 
@@ -201,7 +199,6 @@ def verify_paper(bounds=None, jobs=1):
         hom_malcev,
         [identity_1_2],
         bounds,
-        jobs,
     )
     step8.passed = step8.passed and replay_ok
     step8.detail += "; specialization replay " + ("ok" if replay_ok else "FAILED")
@@ -211,8 +208,8 @@ def verify_paper(bounds=None, jobs=1):
     ok, notes = True, []
     for name in ("cross3", "m7"):
         spec = load_algebra_file(name)
-        hv = check_identity_concrete(spec, hom_malcev, jobs=jobs) is None
-        mv = check_identity_concrete(spec, catalog("malcev"), jobs=jobs) is None
+        hv = check_identity_concrete(spec, hom_malcev) is None
+        mv = check_identity_concrete(spec, catalog("malcev")) is None
         if hv != mv:
             ok = False
         notes.append(f"{name}: hom_malcev={'Holds' if hv else 'fails'},"

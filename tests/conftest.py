@@ -1,13 +1,24 @@
 """Shared corpus generators and independent oracles for the test suite."""
 
+import os
 from fractions import Fraction
 
 import pytest
 
+import homcheck
 from homcheck.dsl import RawExpr, prod, twist, var
 from homcheck.normalform import canon
 
 VARS4 = ("w", "x", "y", "z")
+
+
+def child_env(**extra):
+    """Environment for a child interpreter that imports this homcheck."""
+    src = os.path.dirname(os.path.dirname(homcheck.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return dict(
+        os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **extra
+    )
 
 
 def random_coeff(rng):

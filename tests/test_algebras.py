@@ -202,13 +202,6 @@ def test_abelian4_satisfies_everything():
         assert check_identity_concrete(spec, catalog(name)) is None
 
 
-def test_check_respects_jobs():
-    spec = bundled("m7")
-    a = check_identity_concrete(spec, catalog("hom_jacobi"), jobs=1)
-    b = check_identity_concrete(spec, catalog("hom_jacobi"), jobs=4)
-    assert a == b
-
-
 def test_identity_twist_reduces_hom_to_plain():
     # with twist = Id, the Hom identities are literally the untwisted ones
     for name in ("cross3", "m7"):

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 from homcheck.cli import main
+
+from conftest import child_env
 
 
 def run(capsys, *argv):
@@ -19,6 +24,10 @@ def test_normalize_respects_vars_header(capsys):
     code, out, _ = run(capsys, "normalize", "vars y,x; y*x")
     assert code == 0
     assert out.strip() == "y*x"
+    # a variable whose name starts with "vars" is not a header
+    code, out, _ = run(capsys, "normalize", "varsity*b")
+    assert code == 0
+    assert out.strip() == "-b*varsity"
 
 
 def test_normalize_json(capsys):
@@ -33,6 +42,10 @@ def test_equal_positive_and_negative(capsys):
     code, out, _ = run(capsys, "equal", "--", "x*y", "-(y*x)")
     assert code == 0 and out.strip() == "equal"
     code, out, _ = run(capsys, "equal", "x*y", "y*x")
+    assert code == 1 and out.strip() == "not equal"
+    code, out, _ = run(capsys, "equal", "--", "vars x,y; x*y", "vars x,y; -y*x")
+    assert code == 0 and out.strip() == "equal"
+    code, out, _ = run(capsys, "equal", "--", "vars y,x; x*y", "vars x,y; y*x")
     assert code == 1 and out.strip() == "not equal"
 
 
@@ -50,6 +63,7 @@ def test_parse_error_is_usage(capsys):
 
 def test_unknown_subcommand_is_usage(capsys):
     assert main(["frobnicate"]) == 2
+    assert main(["check", "m7", "hom_malcev", "--jobs", "2"]) == 2
 
 
 def test_polarize(capsys):
@@ -80,7 +94,7 @@ def test_derive_not_in_span(capsys):
 def test_derive_output_is_stable(capsys):
     argv = ["derive", "--target", "eq_2_2", "--axiom", "hom_malcev", "--K", "1"]
     first = run(capsys, *argv)
-    second = run(capsys, *argv, "--jobs", "4")
+    second = run(capsys, *argv)
     assert first[0] == second[0] == 0
     assert first[1] == second[1]
 
@@ -93,6 +107,12 @@ def test_max_k_env_cap(capsys, monkeypatch):
     )
     assert code == 0
     assert "capped to 0" in err
+    code, out, err = run(
+        capsys, "derive", "--target", "hom_jacobi", "--axiom", "hom_malcev",
+        "--K", "3",
+    )
+    assert code == 1
+    assert err.count("capped to 0") == 1
 
 
 def test_check_holds_and_counterexample(capsys):
@@ -133,3 +153,21 @@ def test_verify_paper(capsys):
     assert len(lines) == 9
     assert all("PASS" in l for l in lines)
     assert "overall: PASS" in out
+
+
+def test_closed_stdout_pipe_prints_no_traceback():
+    # the read end is closed before the child writes, so its write fails
+    # with EPIPE (as when a reader like `head` exits early)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "homcheck.cli", "verify-paper", "--K", "0",
+             "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=child_env(), timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == ""

@@ -1,5 +1,7 @@
 import itertools
 import json
+import subprocess
+import sys
 
 import pytest
 from fractions import Fraction
@@ -14,7 +16,9 @@ from homcheck.consequence import (
     span_membership,
 )
 from homcheck.identities import catalog, identity_from_dsl, polarize
-from homcheck.normalform import canon, mono_key, poly_combine
+from homcheck.normalform import MPoly, canon, mono_key, poly_combine
+
+from conftest import child_env
 
 K0 = SearchBounds(0)
 K1 = SearchBounds(1)
@@ -92,6 +96,14 @@ def test_span_membership_edge_cases():
     assert isinstance(cert, Certificate)
     assert cert.rows == []
     assert cert.replay().is_zero
+
+
+def test_replay_mismatch_raises_without_assert(monkeypatch):
+    # the final replay check must survive ``python -O``
+    monkeypatch.setattr(Certificate, "replay", lambda self: MPoly())
+    j = catalog("hom_jacobi")
+    with pytest.raises(RuntimeError, match="replay mismatch"):
+        span_membership(j, generate_instances(j, j.vars, K0))
 
 
 def test_derive_self_is_single_row():
@@ -177,27 +189,28 @@ def test_bounds_validation():
         SearchBounds(-1)
 
 
-def test_determinism_across_jobs():
-    # the certificate must be bit-identical whatever the parallelism
-    targets = [
-        catalog("eq_2_2"),
-        catalog("identity_1_2"),
-        polarize(catalog("hom_malcev")),
+def test_determinism_across_hash_seeds():
+    # certificates must be bit-identical whatever the string hash seed
+    script = (
+        "from homcheck import SearchBounds, catalog, derive\n"
+        "for name in ('eq_2_2', 'identity_1_2', 'hom_malcev'):\n"
+        "    result, _ = derive(catalog(name), [catalog('hom_malcev')], SearchBounds(1))\n"
+        "    print(result.to_json())\n"
+    )
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, env=child_env(PYTHONHASHSEED=seed), timeout=300,
+        ).stdout
+        for seed in ("1", "2")
     ]
-    for target in targets:
-        base = None
-        for jobs in (1, 2, 4):
-            result, _ = derive(target, [catalog("hom_malcev")], K1, jobs=jobs)
-            assert isinstance(result, Certificate)
-            obj = result.to_obj()
-            if base is None:
-                base = obj
-            else:
-                assert obj == base
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert len(lines) == 3 and all(json.loads(line) for line in lines)
 
 
 def test_instance_enumeration_is_deterministic():
     pol = polarize(catalog("hom_malcev"))
-    a = generate_instances(pol, ("w", "x", "y", "z"), K0, jobs=1)
-    b = generate_instances(pol, ("w", "x", "y", "z"), K0, jobs=3)
+    a = generate_instances(pol, ("w", "x", "y", "z"), K0)
+    b = generate_instances(pol, ("w", "x", "y", "z"), K0)
     assert [i.substitution for i in a] == [i.substitution for i in b]

@@ -2,6 +2,7 @@ import random
 
 from fractions import Fraction
 
+from homcheck import normalform
 from homcheck.dsl import format_expr, parse_expr
 from homcheck.normalform import (
     compare_monomials,
@@ -59,6 +60,19 @@ def test_order_is_total_and_consistent_with_keys():
     monos = sorted(monos, key=mono_key)
     for a, b in zip(monos, monos[1:]):
         assert compare_monomials(a, b) == -1
+
+
+def test_key_cache_is_bounded(monkeypatch):
+    rng = random.Random(4)
+    monos = set()
+    for _ in range(100):
+        monos.update(normalize(random_raw_expr(rng)).coeffs)
+    expected = {m: mono_key(m) for m in monos}
+    monkeypatch.setattr(normalform, "_key_cache", {})
+    monkeypatch.setattr(normalform, "_KEY_CACHE_MAX", 8)
+    for m in monos:
+        assert mono_key(m) == expected[m]
+        assert len(normalform._key_cache) <= 8
 
 
 def test_poly_combine():
