@@ -10,12 +10,18 @@ monomial basis; a success yields a Certificate whose replay reproduces
 the target bit for bit, a failure is reported as NotInSpan *within the
 given bounds* (never a non-derivability claim).
 
-Determinism: instances are enumerated in a fixed order (set partitions
-by restricted-growth string, block assignments in permutation order,
-monomial choices in monomial order, then a stable sort by total twist
-weight), deduplicated up to overall scaling keeping the first
-occurrence, and eliminated with first-nonzero-in-monomial-order
-pivoting.  Identical inputs therefore produce identical certificates.
+Instances are built lazily.  They come in a fixed order: by total twist
+weight, ties in enumeration order (set partitions by restricted-growth
+string, block assignments in permutation order, monomial choices in
+monomial order), deduplicated up to overall scaling keeping the first
+occurrence.  A first pass sorts the picks (one monomial per axiom
+variable) into weight levels without substituting anything; each level is then substituted and
+deduplicated only when elimination reads that far.  Elimination pivots
+on the first nonzero entry in monomial order and stops at the first
+instance that empties the residual, so a certified derivation builds
+only the instances up to its last certificate row, whatever K is, while
+a NotInSpan result reads every instance up to K.  Identical inputs
+produce identical certificates.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .identities import Identity, Substitution, polarize, substitute
@@ -52,9 +59,12 @@ class Instance:
     identity: Identity
 
     def weight(self):
-        return sum(
-            p for m in self.substitution.images for _, p in mono_leaves(m)
-        )
+        return _weight(self.substitution.images)
+
+
+def _weight(images):
+    # total twist power on the leaves of the substituted monomials
+    return sum(p for m in images for _, p in mono_leaves(m))
 
 
 @dataclass(frozen=True)
@@ -153,14 +163,57 @@ def _set_partitions(items, blocks):
     yield from rec(0, [], 0)
 
 
+class _LazySequence(Sequence):
+    """A read-only sequence over an iterator that draws each item only when
+    it is first asked for and keeps every item drawn.  Iterating and
+    non-negative indexing draw no further than needed; ``len``, negative
+    indices and slices draw everything."""
+
+    def __init__(self, source):
+        self._source = iter(source)
+        self._items = []
+
+    def _draw(self, count=None):
+        # draw ``count`` more items, or all that remain when count is None
+        self._items.extend(
+            self._source if count is None else itertools.islice(self._source, count)
+        )
+
+    def __iter__(self):
+        items = self._items
+        for i in itertools.count():
+            if i == len(items):
+                self._draw(1)
+                if i == len(items):
+                    return
+            yield items[i]
+
+    def __len__(self):
+        self._draw()
+        return len(self._items)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice) or index < 0:
+            self._draw()
+        elif index >= len(self._items):
+            self._draw(index + 1 - len(self._items))
+        return self._items[index]
+
+
 def generate_instances(axiom, target_vars, bounds=None):
     """All substitution instances of a multilinear axiom over the target
-    variables, deduplicated up to overall rational scaling.
+    variables, deduplicated up to overall rational scaling, as a lazy
+    sequence in weight order.
 
     For every partition of the target variables into len(axiom.vars)
     nonempty blocks, every assignment of blocks to axiom variables and
     every choice of a multilinear monomial per block, the axiom is
-    substituted and renormalized.  Zero instances are dropped.
+    substituted and renormalized.  Instances come by total twist weight,
+    ties in that enumeration order; zero instances are dropped and of
+    instances equal up to scaling only the first is kept.  Nothing is
+    substituted until an instance is asked for, and then only up to it:
+    the picks are first sorted into weight levels, and each level is
+    substituted and deduplicated in turn as the sequence is read.
     """
     bounds = bounds or SearchBounds()
     target_vars = tuple(target_vars)
@@ -171,30 +224,32 @@ def generate_instances(axiom, target_vars, bounds=None):
         raise ValueError(
             f"axiom has {b} variables but the target only {n}"
         )
-    name = axiom.name or "axiom"
-    built = []
-    for part in _set_partitions(range(n), b):
-        choices = [
-            enumerate_monomials(block, bounds.max_alpha_power) for block in part
-        ]
-        for perm in itertools.permutations(range(b)):
+    return _LazySequence(_instances(axiom, target_vars, bounds.max_alpha_power))
+
+
+def _instances(axiom, target_vars, max_alpha_power):
+    levels = {}  # twist weight -> picks, in enumeration order
+    for part in _set_partitions(range(len(target_vars)), len(axiom.vars)):
+        choices = [enumerate_monomials(block, max_alpha_power) for block in part]
+        mono_weight = {m: _weight((m,)) for monos in choices for m in monos}
+        for perm in itertools.permutations(range(len(part))):
             # axiom variable i receives a monomial over block perm[i]
-            for picks in itertools.product(*(choices[perm[i]] for i in range(b))):
-                sub = Substitution(tuple(picks), target_vars)
-                inst = Instance(name, axiom.vars, sub, substitute(axiom, sub))
-                if not inst.identity.poly.is_zero:
-                    built.append(inst)
-    built.sort(key=lambda inst: inst.weight())  # stable: ties keep order
-    out, seen = [], set()
-    for inst in built:
-        lead = inst.identity.poly.leading()[1]
-        key = tuple(
-            (m, c / lead) for m, c in inst.identity.poly.sorted_terms()
-        )
-        if key not in seen:
-            seen.add(key)
-            out.append(inst)
-    return out
+            for picks in itertools.product(*(choices[p] for p in perm)):
+                levels.setdefault(sum(map(mono_weight.get, picks)), []).append(picks)
+    name = axiom.name or "axiom"
+    seen = set()
+    for weight in sorted(levels):
+        for picks in levels.pop(weight):
+            sub = Substitution(picks, target_vars)
+            identity = substitute(axiom, sub)
+            poly = identity.poly
+            if poly.is_zero:
+                continue
+            lead = poly.leading()[1]
+            key = tuple((m, c / lead) for m, c in poly.sorted_terms())
+            if key not in seen:
+                seen.add(key)
+                yield Instance(name, axiom.vars, sub, identity)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +275,8 @@ def span_membership(target, instances):
     residual) otherwise.  Elimination is exact: pivot rows are kept as
     content-reduced integer vectors whose pivot is their smallest
     monomial, so fully reducing against available pivots terminates and
-    removes every reachable monomial.
+    removes every reachable monomial.  ``instances`` is read in order and
+    no further once the residual is empty.
     """
     pivots = {}  # pivot monomial -> (int row dict, int combo dict)
     residual = dict(target.poly.coeffs)  # Fraction coefficients
@@ -248,9 +304,7 @@ def span_membership(target, instances):
                     tcombo.pop(i, None)
 
     reduce_residual()
-    for idx, inst in enumerate(instances):
-        if not residual:
-            break
+    for idx, inst in enumerate(instances if residual else ()):
         poly = inst.identity.poly
         den = math.lcm(*(c.denominator for c in poly.coeffs.values()))
         vec = {m: int(c * den) for m, c in poly.coeffs.items()}
@@ -288,6 +342,8 @@ def span_membership(target, instances):
         pivots[lead] = (vec, combo)
         if lead in residual:
             reduce_residual()
+            if not residual:
+                break  # certified: read no further instances
 
     if residual:
         return NotInSpan(MPoly(residual))
@@ -305,7 +361,9 @@ def derive(target, axioms, bounds=None):
     needed, enumerate instances, decide span membership.
 
     ``axioms`` is a sequence of named Identities.  Axioms with more
-    variables than the (polarized) target contribute no instances.
+    variables than the (polarized) target contribute no instances.  The
+    instances of all axioms, in axiom order, form one lazy sequence, so
+    generation stops at the first instance that certifies the target.
     Returns (result, polarized_target) where result is a Certificate or
     NotInSpan.
     """
@@ -314,10 +372,11 @@ def derive(target, axioms, bounds=None):
         raise ValueError("target must be multihomogeneous")
     if not target.is_multilinear:
         target = polarize(target)
-    instances = []
+    streams = []
     for axiom in axioms:
         ax = axiom if axiom.is_multilinear else polarize(axiom)
         if len(ax.vars) > len(target.vars):
             continue
-        instances.extend(generate_instances(ax, target.vars, bounds))
+        streams.append(generate_instances(ax, target.vars, bounds))
+    instances = _LazySequence(itertools.chain.from_iterable(streams))
     return span_membership(target, instances), target

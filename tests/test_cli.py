@@ -121,6 +121,10 @@ def test_check_holds_and_counterexample(capsys):
     code, out, _ = run(capsys, "check", "m7", "hom_jacobi")
     assert code == 1
     assert out.startswith("Counterexample")
+    # the non-vacuous negative control: not derivable from hom_malcev
+    code, out, _ = run(capsys, "check", "m7", "J(w*x,a(y),a(z))")
+    assert code == 1
+    assert out.strip() == "Counterexample: w = e1, x = e2, y = e1, z = e4 -> 3*e6"
 
 
 def test_check_missing_file(capsys):

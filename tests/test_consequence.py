@@ -6,8 +6,10 @@ import sys
 import pytest
 from fractions import Fraction
 
+from homcheck import consequence
 from homcheck.consequence import (
     Certificate,
+    Instance,
     NotInSpan,
     SearchBounds,
     derive,
@@ -15,7 +17,13 @@ from homcheck.consequence import (
     generate_instances,
     span_membership,
 )
-from homcheck.identities import catalog, identity_from_dsl, polarize
+from homcheck.identities import (
+    Substitution,
+    catalog,
+    identity_from_dsl,
+    polarize,
+    substitute,
+)
 from homcheck.normalform import MPoly, canon, mono_key, poly_combine
 
 from conftest import child_env
@@ -214,3 +222,78 @@ def test_instance_enumeration_is_deterministic():
     a = generate_instances(pol, ("w", "x", "y", "z"), K0)
     b = generate_instances(pol, ("w", "x", "y", "z"), K0)
     assert [i.substitution for i in a] == [i.substitution for i in b]
+
+
+def eager_instances(axiom, target_vars, k):
+    """Reference order: build every instance in enumeration order (set
+    partition, block permutation, monomial picks), drop zeros, stable-sort
+    by weight, keep the first of each class up to scaling."""
+    built = []
+    for part in consequence._set_partitions(range(len(target_vars)), len(axiom.vars)):
+        choices = [enumerate_monomials(block, k) for block in part]
+        for perm in itertools.permutations(range(len(part))):
+            for picks in itertools.product(*(choices[p] for p in perm)):
+                sub = Substitution(tuple(picks), target_vars)
+                inst = Instance(axiom.name, axiom.vars, sub, substitute(axiom, sub))
+                if not inst.identity.poly.is_zero:
+                    built.append(inst)
+    built.sort(key=Instance.weight)
+    out, seen = [], set()
+    for inst in built:
+        poly = inst.identity.poly
+        lead = poly.leading()[1]
+        key = tuple((m, c / lead) for m, c in poly.sorted_terms())
+        if key not in seen:
+            seen.add(key)
+            out.append(inst)
+    return out
+
+
+@pytest.mark.parametrize("name, k", [
+    ("hom_malcev", 0), ("hom_malcev", 1), ("hom_malcev", 2), ("hom_jacobi", 1),
+])
+def test_lazy_instances_match_eager_order(name, k):
+    axiom = catalog(name)
+    axiom = axiom if axiom.is_multilinear else polarize(axiom)
+    target_vars = ("w", "x", "y", "z")
+    want = eager_instances(axiom, target_vars, k)
+    got = list(generate_instances(axiom, target_vars, SearchBounds(k)))
+    assert [i.substitution for i in got] == [i.substitution for i in want]
+    assert [i.identity.poly for i in got] == [i.identity.poly for i in want]
+
+
+def count_substitute(monkeypatch):
+    calls = [0]
+
+    def counting(ident, sub):
+        calls[0] += 1
+        return substitute(ident, sub)
+
+    monkeypatch.setattr(consequence, "substitute", counting)
+    return calls
+
+
+def test_certified_derive_cost_does_not_depend_on_k(monkeypatch):
+    calls = count_substitute(monkeypatch)
+    per_k = []
+    for k in (0, 3):
+        calls[0] = 0
+        result, _ = derive(catalog("identity_1_2"), [catalog("hom_malcev")],
+                           SearchBounds(k))
+        assert isinstance(result, Certificate)
+        per_k.append(calls[0])
+    # the certificate uses weight-0 instances only: at most the 4! = 24
+    # picks of weight 0 are ever substituted
+    assert per_k[0] == per_k[1] <= 24
+
+
+def test_first_instance_builds_no_further(monkeypatch):
+    calls = count_substitute(monkeypatch)
+    pol = polarize(catalog("hom_malcev"))
+    insts = generate_instances(pol, ("w", "x", "y", "z"), SearchBounds(3))
+    assert calls[0] == 0
+    assert insts[0].substitution.images == ((0, 0), (1, 0), (2, 0), (3, 0))
+    assert calls[0] == 1  # the identity substitution is the first pick
+    # len builds everything: every one of the 4! * 4^4 picks
+    assert len(insts) == len(list(insts)) and insts[-1] is list(insts)[-1]
+    assert calls[0] == 24 * 4 ** 4
