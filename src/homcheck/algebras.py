@@ -5,9 +5,15 @@ Hom-Malcev algebra.
 An algebra is an anticommutative product on basis e_1..e_n, stored as
 rational constants c[i][j][k] for i < j only (e_j*e_i = -e_i*e_j,
 e_i*e_i = 0), together with an n x n rational twist matrix.  Elements
-are sparse rational coefficient vectors.  Identity checks polarize
-first and then evaluate on all basis tuples, which is complete by
-multilinearity over a characteristic-0 field.
+are sparse coefficient vectors.  Identity checks polarize first and then
+evaluate on all basis tuples, which is complete by multilinearity over a
+characteristic-0 field.
+
+The sweep over basis tuples clears denominators once, so it multiplies
+integer structure constants, and it keeps one table per product node
+below the top of each monomial, indexed by the basis indices of only the
+variables in that node.  A node over variable set S is therefore computed
+dim^|S| times, not once per tuple.
 
 JSON schema (rationals as "p/q" or integer strings; omitted (i,j)
 pairs mean zero product; indices are 1-based)::
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -92,8 +99,15 @@ def load_algebra(doc, name=None):
     if not isinstance(basis, list) or len(basis) != dim:
         raise AlgebraError("'basis' must list one name per dimension")
     product = {}
-    for entry in doc.get("product", []):
-        if not isinstance(entry, dict) or not {"i", "j", "out"} <= set(entry):
+    entries = doc.get("product", [])
+    if not isinstance(entries, list):
+        raise AlgebraError("'product' must be a list of entries")
+    for entry in entries:
+        if (
+            not isinstance(entry, dict)
+            or not {"i", "j", "out"} <= set(entry)
+            or not isinstance(entry["out"], dict)
+        ):
             raise AlgebraError(f"bad product entry {entry!r}")
         i, j = entry["i"], entry["j"]
         if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= dim):
@@ -104,7 +118,12 @@ def load_algebra(doc, name=None):
             raise AlgebraError(f"duplicate product entry for ({i},{j})")
         out = {}
         for k, c in entry["out"].items():
-            ki = int(k)
+            try:
+                ki = int(k)
+            except ValueError:
+                raise AlgebraError(
+                    f"product target index {k!r} is not an integer"
+                ) from None
             if not 1 <= ki <= dim:
                 raise AlgebraError(f"product target index {k} out of range")
             cf = _fraction(c)
@@ -139,11 +158,13 @@ def load_algebra_file(path):
             data = resources.files("homcheck.data").joinpath(f"{stem}.json")
             return load_algebra(json.loads(data.read_text()), stem)
         raise FileNotFoundError(path)
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise AlgebraError(f"invalid JSON in {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise AlgebraError(f"invalid JSON in {path}: {exc}") from exc
+    except OSError as exc:
+        raise AlgebraError(f"cannot read {path}: {exc.strerror}") from exc
     return load_algebra(doc, name=str(path))
 
 
@@ -167,7 +188,7 @@ def dump_algebra(spec):
 
 
 # ---------------------------------------------------------------------------
-# element arithmetic (elements are sparse dicts index -> Fraction)
+# element arithmetic (elements are sparse dicts index -> coefficient)
 
 def multiply(spec, u, v):
     """Bilinear extension of the structure constants."""
@@ -202,14 +223,33 @@ def element_add(parts):
     return {k: c for k, c in out.items() if c}
 
 
-def _eval_mono(spec, mono, leaves):
+def _eval_mono(spec, mono, leaves, tables, tup):
     """Evaluate a canonical monomial; leaves[(var, power)] is the element
-    at each of its leaves."""
+    at each of its leaves.
+
+    tables maps product nodes to (variables, table).  Such a node's value
+    at basis tuple tup is kept in table at the mixed-radix number of
+    tup's entries for those variables, computed on first use.  Other
+    product nodes are computed at every call.
+    """
     if isinstance(mono[0], int):
         return leaves[mono]
-    return multiply(
-        spec, _eval_mono(spec, mono[0], leaves), _eval_mono(spec, mono[1], leaves)
+    entry = tables.get(mono)
+    if entry is not None:
+        variables, table = entry
+        slot = 0
+        for v in variables:
+            slot = slot * spec.dim + tup[v]
+        if table[slot] is not None:
+            return table[slot]
+    u = multiply(
+        spec,
+        _eval_mono(spec, mono[0], leaves, tables, tup),
+        _eval_mono(spec, mono[1], leaves, tables, tup),
     )
+    if entry is not None:
+        table[slot] = u
+    return u
 
 
 def eval_poly(spec, poly, values):
@@ -221,7 +261,7 @@ def eval_poly(spec, poly, values):
             u = apply_twist(spec, u)
         leaves[leaf] = u
     return element_add(
-        (c, _eval_mono(spec, m, leaves)) for m, c in poly.coeffs.items()
+        (c, _eval_mono(spec, m, leaves, {}, None)) for m, c in poly.coeffs.items()
     )
 
 
@@ -262,24 +302,73 @@ class Counterexample:
         return f"{assignment} -> {value}"
 
 
+def _times(c, d):
+    """The rational c times d, as an int; d is a multiple of c's denominator."""
+    return c.numerator * (d // c.denominator)
+
+
 def check_identity_concrete(spec, ident):
     """Evaluate the polarized identity on all basis tuples.
 
     Returns None when the identity holds, otherwise the Counterexample
     at the first failing tuple in lexicographic tuple order.
+
+    The sweep runs in integers.  The product constants are scaled by dp
+    and the twist by dt, the least common multiples of their
+    denominators, so a monomial with L leaves and twist powers summing
+    to P evaluates to dp^(L-1) * dt^P times its true value; each term's
+    coefficient absorbs that factor into an integer weight over one
+    common denominator.  Every product node below the top of a monomial
+    has a table with one slot per assignment of basis indices to the
+    variables it contains, filled on first use, so a node over variable
+    set S is computed dim^|S| times.  The top node contains every
+    variable and is multiplied out from its children at each tuple.
     """
     ident = ident if ident.is_multilinear else polarize(ident)
     terms = ident.poly.sorted_terms()
-    leaf_set = {leaf for mono, _ in terms for leaf in mono_leaves(mono)}
-    # twisted[p][i] is a^p(e_i)
-    twisted = [[spec.basis_element(i) for i in range(spec.dim)]]
+    dp = math.lcm(
+        *(c.denominator for out in spec.product.values() for c in out.values())
+    )
+    dt = math.lcm(*(c.denominator for row in spec.twist for c in row))
+    ispec = AlgebraSpec(
+        spec.dim,
+        spec.basis,
+        {
+            ij: {k: _times(c, dp) for k, c in out.items()}
+            for ij, out in spec.product.items()
+        },
+        tuple(tuple(_times(c, dt) for c in row) for row in spec.twist),
+    )
+    leaf_lists = [list(mono_leaves(mono)) for mono, _ in terms]
+    scales = [
+        dp ** (len(leaves) - 1) * dt ** sum(p for _, p in leaves)
+        for leaves in leaf_lists
+    ]
+    den = math.lcm(*(c.denominator * s for (_, c), s in zip(terms, scales)))
+    weighted = [(_times(c, den // s), mono) for (mono, c), s in zip(terms, scales)]
+    tables = {}
+    below_top = [
+        child for mono, _ in terms if not isinstance(mono[0], int) for child in mono
+    ]
+    while below_top:
+        node = below_top.pop()
+        if not isinstance(node[0], int) and node not in tables:
+            variables = sorted({v for v, _ in mono_leaves(node)})
+            tables[node] = (variables, [None] * spec.dim ** len(variables))
+            below_top.extend(node)
+    leaf_set = {leaf for leaves in leaf_lists for leaf in leaves}
+    # twisted[p][i] is dt^p * a^p(e_i)
+    twisted = [[{i: 1} for i in range(spec.dim)]]
     for _ in range(max((p for _, p in leaf_set), default=0)):
-        twisted.append([apply_twist(spec, u) for u in twisted[-1]])
+        twisted.append([apply_twist(ispec, u) for u in twisted[-1]])
     for tup in itertools.product(range(spec.dim), repeat=len(ident.vars)):
         leaves = {(v, p): twisted[p][tup[v]] for v, p in leaf_set}
-        value = element_add((c, _eval_mono(spec, m, leaves)) for m, c in terms)
+        value = element_add(
+            (w, _eval_mono(ispec, mono, leaves, tables, tup)) for w, mono in weighted
+        )
         if value:
-            return Counterexample(ident.vars, tuple(i + 1 for i in tup), value)
+            residual = {k: Fraction(c, den) for k, c in value.items()}
+            return Counterexample(ident.vars, tuple(i + 1 for i in tup), residual)
     return None
 
 

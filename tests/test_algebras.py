@@ -1,10 +1,13 @@
+import gc
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from fractions import Fraction
 
+from homcheck import algebras
 from homcheck.algebras import (
     AlgebraError,
     AlgebraSpec,
@@ -19,8 +22,8 @@ from homcheck.algebras import (
     multiply,
     yau_twist,
 )
-from homcheck.identities import catalog, strip_twist
-from homcheck.normalform import normalize
+from homcheck.identities import catalog, polarize, strip_twist
+from homcheck.normalform import mono_leaves, normalize
 
 from conftest import random_raw_expr
 
@@ -130,6 +133,9 @@ def test_load_rejects_bad_documents():
                 {"i": 1, "j": 2, "out": {"1": "2"}},
             ],
         },
+        {**base, "product": [{"i": 1, "j": 2, "out": ["1"]}]},
+        {**base, "product": [{"i": 1, "j": 2, "out": {"x": "1"}}]},
+        {**base, "product": 5},
         {"dim": 2, "twist": [["1", "0"]]},
         {"dim": 2, "twist": [["1", "0"], ["0", True]]},
     ]
@@ -251,36 +257,50 @@ def test_twisted_m7_fails_hom_jacobi():
 # ---------------------------------------------------------------------------
 # symbolic layer vs direct evaluation
 
-def _random_spec(rng):
-    kind = rng.randrange(3)
+def _random_rational(rng):
+    return Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3, 5)))
+
+
+def _random_product(rng, dim):
+    product = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            out = {k: _random_rational(rng) for k in range(dim) if rng.random() < 0.5}
+            out = {k: c for k, c in out.items() if c}
+            if out:
+                product[(i, j)] = out
+    return product
+
+
+def _random_twist(rng, dim):
+    return tuple(tuple(_random_rational(rng) for _ in range(dim)) for _ in range(dim))
+
+
+def _random_spec(rng, multiplicative=True):
+    """A random algebra whose constants have denominators 1, 2, 3 and 5.
+
+    With multiplicative=False a fourth kind joins the three multiplicative
+    ones: a random product with a random twist.
+    """
+    kind = rng.randrange(3 if multiplicative else 4)
+    basis = tuple(f"e{i+1}" for i in range(4))
     if kind == 0:
         # random anticommutative product, twist = Id (trivially multiplicative
         # evaluation-wise; multiplicativity is not needed for agreement)
         dim = rng.randint(1, 3)
-        product = {}
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                out = {
-                    k: Fraction(rng.randint(-2, 2))
-                    for k in range(dim)
-                    if rng.random() < 0.5
-                }
-                out = {k: c for k, c in out.items() if c}
-                if out:
-                    product[(i, j)] = out
         twist = tuple(
             tuple(Fraction(1 if a == b else 0) for b in range(dim))
             for a in range(dim)
         )
-        return AlgebraSpec(dim, tuple(f"e{i+1}" for i in range(dim)), product, twist)
+        return AlgebraSpec(dim, basis[:dim], _random_product(rng, dim), twist)
     if kind == 1:
         # zero product with an arbitrary twist (always multiplicative)
         dim = rng.randint(1, 4)
-        twist = tuple(
-            tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim))
-            for _ in range(dim)
-        )
-        return AlgebraSpec(dim, tuple(f"e{i+1}" for i in range(dim)), {}, twist)
+        return AlgebraSpec(dim, basis[:dim], {}, _random_twist(rng, dim))
+    if kind == 3:
+        dim = rng.randint(1, 3)
+        product = _random_product(rng, dim)
+        return AlgebraSpec(dim, basis[:dim], product, _random_twist(rng, dim))
     return bundled("cross3_rot")
 
 
@@ -308,3 +328,81 @@ def test_eval_poly_on_catalog_identity():
     spec = bundled("cross3")
     values = ({0: Fraction(1)}, {1: Fraction(2)}, {0: Fraction(1), 2: Fraction(-1)})
     assert eval_poly(spec, catalog("hom_jacobi").poly, values) == {}
+
+
+# ---------------------------------------------------------------------------
+# the tabulated integer sweep against a plain one
+
+def _reference_sweep(spec, ident):
+    """eval_poly at each basis tuple in lexicographic order, in Fraction
+    arithmetic and with no tables: (1-based tuple, residual) or None."""
+    ident = ident if ident.is_multilinear else polarize(ident)
+    for tup in itertools.product(range(spec.dim), repeat=len(ident.vars)):
+        value = eval_poly(spec, ident.poly, [spec.basis_element(i) for i in tup])
+        if value:
+            return tuple(i + 1 for i in tup), value
+    return None
+
+
+def test_concrete_sweep_matches_reference_sweep():
+    rng = random.Random(5)
+    specs = [_random_spec(rng, multiplicative=False) for _ in range(16)]
+    specs.append(yau_twist(bundled("cross3_rot")))
+    names = ("hom_malcev", "malcev", "identity_1_2", "hom_jacobi",
+             "eq_2_2", "eq_2_3", "eq_2_4", "eq_2_5")
+    verdicts = set()
+    for spec in specs:
+        for name in names:
+            got = check_identity_concrete(spec, catalog(name))
+            want = _reference_sweep(spec, catalog(name))
+            verdicts.add(got is None)
+            if want is None:
+                assert got is None, name
+            else:
+                assert (got.tuple_indices, got.residual) == want, name
+    assert verdicts == {True, False}
+
+
+def _nodes_below_top(mono):
+    for child in mono:
+        if not isinstance(child[0], int):
+            yield child
+            yield from _nodes_below_top(child)
+
+
+def test_sweep_computes_each_node_once_per_assignment(monkeypatch):
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return multiply(*args)
+
+    monkeypatch.setattr(algebras, "multiply", counted)
+    spec = load_algebra_file("m7")  # 21 calls: the multiplicativity check
+    ident = polarize(catalog("hom_malcev"))
+    assert check_identity_concrete(spec, ident) is None
+    nodes = {node for mono in ident.poly.coeffs for node in _nodes_below_top(mono)}
+    # each top node once per tuple, each node below it once per
+    # assignment of its own variables
+    bound = 7 ** 4 * len(ident.poly.coeffs) + 21 + sum(
+        7 ** len({v for v, _ in mono_leaves(node)}) for node in nodes
+    )
+    assert calls <= bound
+
+
+def test_sweep_releases_its_tables():
+    # with the cyclic collector off, anything a reference cycle kept
+    # alive would still be allocated after the call returns
+    spec, ident = bundled("m7"), catalog("hom_malcev")
+    check_identity_concrete(spec, ident)  # fills the monomial key cache
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert check_identity_concrete(spec, ident) is None
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert after - before < 64 * 1024

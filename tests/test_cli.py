@@ -140,6 +140,38 @@ def test_check_invalid_algebra_file(capsys, tmp_path):
     assert "invalid algebra" in err
 
 
+def test_check_malformed_algebra_files(capsys, tmp_path):
+    base = {"dim": 2, "twist": [["1", "0"], ["0", "1"]]}
+    paths = [tmp_path, tmp_path / "binary.json"]  # a directory, not UTF-8
+    paths[1].write_bytes(b"\xff\xfe")
+    for name, product in (
+        ("out_not_object", [{"i": 1, "j": 2, "out": ["1"]}]),
+        ("out_key_not_integer", [{"i": 1, "j": 2, "out": {"x": "1"}}]),
+        ("product_not_list", 5),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**base, "product": product}))
+        paths.append(path)
+    for path in paths:
+        code, _, err = run(capsys, "check", str(path), "hom_jacobi")
+        assert code == 3, path
+        assert err.startswith("invalid algebra: "), err
+
+
+def test_check_rational_counterexamples(capsys):
+    # cross3_rot's twist has denominator 5, so its residuals are fractions
+    for ident, tup, residual in (
+        ("hom_malcev", [1, 1, 2, 2], {"3": "16/5"}),
+        ("identity_1_2", [1, 2, 1, 2], {"3": "24/5"}),
+        ("hom_jacobi", [1, 2, 3], {"3": "8/5"}),
+    ):
+        code, out, _ = run(capsys, "check", "cross3_rot", ident, "--format", "json")
+        assert code == 1, ident
+        doc = json.loads(out)
+        assert doc["verdict"] == "counterexample"
+        assert (doc["tuple"], doc["residual"]) == (tup, residual), ident
+
+
 def test_twist_roundtrip(capsys, tmp_path):
     out_path = tmp_path / "twisted.json"
     code, _, _ = run(capsys, "twist", "m7_auto", "-o", str(out_path))
