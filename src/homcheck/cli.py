@@ -114,6 +114,8 @@ def cmd_derive(args):
         "max_alpha_power": bounds.max_alpha_power,
         "residual_monomials": result.residual_monomials,
         "residual": format_expr(result.residual, polarized.vars),
+        "k_saturated": result.k_saturated,
+        "axioms_skipped": list(result.axioms_skipped),
     }
     _emit(
         args,

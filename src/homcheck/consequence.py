@@ -15,12 +15,29 @@ weight, ties in enumeration order (set partitions by restricted-growth
 string, block assignments in permutation order, monomial choices in
 monomial order), deduplicated up to overall scaling keeping the first
 occurrence.  A first pass sorts the picks (one monomial per axiom
-variable) into weight levels without substituting anything; each level is then substituted and
-deduplicated only when elimination reads that far.  Elimination pivots
-on the first nonzero entry in monomial order and stops at the first
-instance that empties the residual, so a certified derivation builds
-only the instances up to its last certificate row, whatever K is, while
-a NotInSpan result reads every instance up to K.  Identical inputs
+variable) into weight levels without substituting anything; each level
+is then substituted and deduplicated only when elimination reads that
+far.  Elimination pivots on the first nonzero entry in monomial order and
+stops at the first instance that empties the residual, so a certified
+derivation builds only the instances up to its last certificate row,
+whatever K is.
+
+Grading.  The twisting map pushes through products, so the number
+``depth + twist power`` of each leaf survives normalization.  Most axioms
+are graded: every occurrence of axiom variable u has the same number c_u
+(3 for hom_malcev and the four-variable lemma identities, 2 for
+hom_jacobi; malcev is not graded).  Substituting a monomial m for u gives
+each target variable v of m the number c_u + grade_m(v), so every
+instance of a graded axiom is homogeneous, and the span splits into one
+summand per grade vector.  The target's components are the grade vectors
+of its monomials; only instances in a component can reduce the target,
+and the residual modulo the span is unique.  So when every axiom is
+graded, ``derive`` enumerates only the picks that land in a component:
+residuals, certificates and verdicts are those of the full enumeration,
+and a NotInSpan result costs as many substitutions as there are such
+picks.  If any axiom is ungraded, every axiom's instances are enumerated
+(an ungraded instance can mix a component with another grade, which a
+graded instance outside the components may cancel).  Identical inputs
 produce identical certificates.
 """
 
@@ -30,7 +47,7 @@ import itertools
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .identities import Identity, Substitution, polarize, substitute
 from .normalform import MPoly, canon, mono_key, mono_leaves, poly_combine
@@ -69,9 +86,16 @@ def _weight(images):
 
 @dataclass(frozen=True)
 class NotInSpan:
-    """Negative result *within bounds*: the residual after elimination."""
+    """Negative result *within bounds*: the residual after elimination.
+
+    ``derive`` also reports the K from which a larger bound enumerates
+    the same instances (None when some axiom is ungraded) and the names
+    of the axioms skipped for having more variables than the target.
+    """
 
     residual: MPoly
+    k_saturated: int = None
+    axioms_skipped: tuple = ()
 
     @property
     def residual_monomials(self):
@@ -200,8 +224,45 @@ class _LazySequence(Sequence):
         return self._items[index]
 
 
-def generate_instances(axiom, target_vars, bounds=None):
-    """All substitution instances of a multilinear axiom over the target
+def _leaf_grades(mono, depth=0):
+    # (variable, depth + twist power) for every leaf, left to right
+    if isinstance(mono[0], int):
+        yield mono[0], depth + mono[1]
+    else:
+        yield from _leaf_grades(mono[0], depth + 1)
+        yield from _leaf_grades(mono[1], depth + 1)
+
+
+def axiom_grades(axiom):
+    """The grade c_u of each axiom variable u, as a tuple, or None when
+    some variable occurs with two different values of depth + twist
+    power (or does not occur at all)."""
+    grades = {}
+    for mono in axiom.poly.coeffs:
+        for v, g in _leaf_grades(mono):
+            if grades.setdefault(v, g) != g:
+                return None
+    if len(grades) != len(axiom.vars):
+        return None
+    return tuple(grades[u] for u in range(len(axiom.vars)))
+
+
+def target_components(target):
+    """The graded components of a polarized target: the set of grade
+    vectors (one entry per target variable) of its monomials.  A monomial
+    that misses a target variable forms no component, since every
+    instance contains every target variable."""
+    n = len(target.vars)
+    out = set()
+    for mono in target.poly.coeffs:
+        grades = dict(_leaf_grades(mono))
+        if len(grades) == n:
+            out.add(tuple(grades[v] for v in range(n)))
+    return out
+
+
+def generate_instances(axiom, target_vars, bounds=None, target=None):
+    """Substitution instances of a multilinear axiom over the target
     variables, deduplicated up to overall rational scaling, as a lazy
     sequence in weight order.
 
@@ -214,6 +275,13 @@ def generate_instances(axiom, target_vars, bounds=None):
     substituted until an instance is asked for, and then only up to it:
     the picks are first sorted into weight levels, and each level is
     substituted and deduplicated in turn as the sequence is read.
+
+    With ``target=None`` every instance comes.  Given the polarized
+    target (an Identity over ``target_vars``) and a graded axiom, only
+    the picks whose instance lands in a component of the target come, in
+    the same relative order; an ungraded axiom ignores ``target``.
+    Filtering is sound only when every axiom of the span is graded, which
+    ``derive`` checks before it passes the target.
     """
     bounds = bounds or SearchBounds()
     target_vars = tuple(target_vars)
@@ -224,17 +292,42 @@ def generate_instances(axiom, target_vars, bounds=None):
         raise ValueError(
             f"axiom has {b} variables but the target only {n}"
         )
-    return _LazySequence(_instances(axiom, target_vars, bounds.max_alpha_power))
+    grades = components = None
+    if target is not None:
+        if target.vars != target_vars:
+            raise ValueError("target must be over the target variables")
+        grades = axiom_grades(axiom)
+        components = target_components(target)
+    return _LazySequence(_instances(
+        axiom, target_vars, bounds.max_alpha_power, grades, components
+    ))
 
 
-def _instances(axiom, target_vars, max_alpha_power):
+def _instances(axiom, target_vars, max_alpha_power, grades, components):
+    # grades is None: every pick; else only picks landing in a component
     levels = {}  # twist weight -> picks, in enumeration order
     for part in _set_partitions(range(len(target_vars)), len(axiom.vars)):
         choices = [enumerate_monomials(block, max_alpha_power) for block in part]
         mono_weight = {m: _weight((m,)) for monos in choices for m in monos}
+        if grades is not None:
+            mono_grades = {
+                m: dict(_leaf_grades(m)) for monos in choices for m in monos
+            }
         for perm in itertools.permutations(range(len(part))):
             # axiom variable i receives a monomial over block perm[i]
-            for picks in itertools.product(*(choices[p] for p in perm)):
+            lists = [choices[p] for p in perm]
+            if grades is not None:
+                # keep the monomials that meet some component on their
+                # own block, then the picks that meet one everywhere
+                lists = [
+                    _meeting(monos, part[p], c, components, mono_grades)
+                    for monos, p, c in zip(lists, perm, grades)
+                ]
+            for picks in itertools.product(*lists):
+                if grades is not None and _pick_grade(
+                    picks, grades, mono_grades, len(target_vars)
+                ) not in components:
+                    continue
                 levels.setdefault(sum(map(mono_weight.get, picks)), []).append(picks)
     name = axiom.name or "axiom"
     seen = set()
@@ -250,6 +343,25 @@ def _instances(axiom, target_vars, max_alpha_power):
             if key not in seen:
                 seen.add(key)
                 yield Instance(name, axiom.vars, sub, identity)
+
+
+def _meeting(monos, block, grade, components, mono_grades):
+    # the monomials over ``block`` that, put in for a variable of grade
+    # ``grade``, give the block's variables the grades of some component
+    wanted = {tuple(s[v] - grade for v in block) for s in components}
+    return [
+        m for m in monos
+        if tuple(mono_grades[m][v] for v in block) in wanted
+    ]
+
+
+def _pick_grade(picks, grades, mono_grades, n):
+    # grade vector of the instance a pick gives
+    vec = [0] * n
+    for grade, m in zip(grades, picks):
+        for v, g in mono_grades[m].items():
+            vec[v] = grade + g
+    return tuple(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -364,19 +476,42 @@ def derive(target, axioms, bounds=None):
     variables than the (polarized) target contribute no instances.  The
     instances of all axioms, in axiom order, form one lazy sequence, so
     generation stops at the first instance that certifies the target.
+    When every remaining axiom is graded, each enumerates only the picks
+    that land in a component of the polarized target; otherwise all
+    instances up to K are enumerated.  Either way the result is the same.
     Returns (result, polarized_target) where result is a Certificate or
-    NotInSpan.
+    NotInSpan; a NotInSpan carries ``k_saturated`` (None on the ungraded
+    path) and ``axioms_skipped``.
     """
     bounds = bounds or SearchBounds()
     if target.degrees is None:
         raise ValueError("target must be multihomogeneous")
     if not target.is_multilinear:
         target = polarize(target)
-    streams = []
+    used, skipped = [], []
     for axiom in axioms:
         ax = axiom if axiom.is_multilinear else polarize(axiom)
         if len(ax.vars) > len(target.vars):
-            continue
-        streams.append(generate_instances(ax, target.vars, bounds))
+            skipped.append(ax.name or "axiom")
+        else:
+            used.append(ax)
+    grades = [axiom_grades(ax) for ax in used]
+    graded = None not in grades
+    streams = [
+        generate_instances(ax, target.vars, bounds, target if graded else None)
+        for ax in used
+    ]
     instances = _LazySequence(itertools.chain.from_iterable(streams))
-    return span_membership(target, instances), target
+    result = span_membership(target, instances)
+    if isinstance(result, NotInSpan):
+        k_saturated = None
+        if graded:
+            # a kept monomial for u carries power <= s_v - c_u on v
+            k_saturated = max([0] + [
+                s_v - c_u for s in target_components(target) for s_v in s
+                for g in grades for c_u in g
+            ])
+        result = replace(
+            result, k_saturated=k_saturated, axioms_skipped=tuple(skipped)
+        )
+    return result, target

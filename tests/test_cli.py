@@ -91,6 +91,30 @@ def test_derive_not_in_span(capsys):
     assert "not in span" in out
 
 
+def test_derive_not_in_span_json_fields(capsys):
+    code, out, _ = run(
+        capsys, "derive", "--target", "hom_jacobi", "--axiom", "hom_malcev",
+        "--format", "json",
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert list(doc)[-2:] == ["k_saturated", "axioms_skipped"]
+    assert doc["k_saturated"] == 0 and doc["axioms_skipped"] == ["hom_malcev"]
+    code, out, _ = run(
+        capsys, "derive", "--target", "J(w*x,a(y),a(z))", "--axiom", "malcev",
+        "--axiom", "hom_malcev", "--K", "1", "--format", "json",
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["k_saturated"] is None and doc["axioms_skipped"] == []
+    code, out, _ = run(
+        capsys, "derive", "--target", "identity_1_2", "--axiom", "hom_malcev",
+        "--K", "1", "--format", "json",
+    )
+    assert code == 0
+    assert set(json.loads(out)) == {"status", "target", "certificate"}
+
+
 def test_derive_output_is_stable(capsys):
     argv = ["derive", "--target", "eq_2_2", "--axiom", "hom_malcev", "--K", "1"]
     first = run(capsys, *argv)

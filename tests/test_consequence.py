@@ -22,6 +22,7 @@ from homcheck.identities import (
     catalog,
     identity_from_dsl,
     polarize,
+    strip_twist,
     substitute,
 )
 from homcheck.normalform import MPoly, canon, mono_key, poly_combine
@@ -297,3 +298,128 @@ def test_first_instance_builds_no_further(monkeypatch):
     # len builds everything: every one of the 4! * 4^4 picks
     assert len(insts) == len(list(insts)) and insts[-1] is list(insts)[-1]
     assert calls[0] == 24 * 4 ** 4
+
+
+# -- graded enumeration ------------------------------------------------------
+
+def named(text):
+    if text == "identity_1_2 twist-free":
+        return strip_twist(catalog("identity_1_2")).with_name(text)
+    try:
+        return catalog(text)
+    except KeyError:
+        return identity_from_dsl(text, text)
+
+
+# targets that are not consequences of hom_malcev: each fails in a model
+# of it (the Yau twist of m7_auto); hom_jacobi is the vacuous control
+REFUTE_TARGETS = (
+    "J(w*x,a(y),a(z))",
+    "J(w*x,a(y),a(z)) + J(y*z,a(w),a(x))",
+    "a2(w)*J(x,y,z)",
+    "G(w,x,y,z)",
+    "identity_1_2 twist-free",
+    "hom_jacobi",
+)
+
+DIFFERENTIAL_CASES = [(t, ("hom_malcev",)) for t in REFUTE_TARGETS] + [
+    ("identity_1_2", ("hom_malcev",)),
+    ("hom_malcev", ("identity_1_2",)),
+    ("eq_2_2", ("hom_jacobi", "hom_malcev")),
+    ("eq_2_4", ("identity_1_2", "hom_malcev")),
+    # ungraded malcev: every axiom's instances are enumerated
+    ("identity_1_2", ("malcev", "hom_malcev")),
+    ("eq_2_2", ("malcev", "hom_jacobi")),
+]
+
+
+def full_path(target, axioms, bounds):
+    """Reference: span membership over every instance of every axiom."""
+    target = target if target.is_multilinear else polarize(target)
+    streams = []
+    for axiom in axioms:
+        ax = axiom if axiom.is_multilinear else polarize(axiom)
+        if len(ax.vars) <= len(target.vars):
+            streams.append(generate_instances(ax, target.vars, bounds, target=None))
+    instances = consequence._LazySequence(itertools.chain.from_iterable(streams))
+    return span_membership(target, instances), target
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("target, axioms", DIFFERENTIAL_CASES)
+def test_graded_derive_matches_full_enumeration(target, axioms, k):
+    target, axioms = named(target), [named(a) for a in axioms]
+    got, pol = derive(target, axioms, SearchBounds(k))
+    want, pol_want = full_path(target, axioms, SearchBounds(k))
+    assert pol == pol_want
+    assert type(got) is type(want)
+    if isinstance(want, NotInSpan):
+        assert got.residual == want.residual
+    else:
+        assert got.to_json() == want.to_json()
+
+
+def test_axiom_grades():
+    for name in ("hom_malcev", "identity_1_2", "eq_2_2", "eq_2_3", "eq_2_4", "eq_2_5"):
+        assert consequence.axiom_grades(polarize(catalog(name))) == (3,) * 4, name
+    assert consequence.axiom_grades(catalog("hom_jacobi")) == (2, 2, 2)
+    assert consequence.axiom_grades(polarize(catalog("malcev"))) is None
+    assert consequence.axiom_grades(catalog("malcev")) is None
+
+
+def test_not_in_span_derive_substitutes_only_matching_picks(monkeypatch):
+    calls = count_substitute(monkeypatch)
+    target = named("J(w*x,a(y),a(z))")
+    result, _ = derive(target, [catalog("hom_malcev")], SearchBounds(3))
+    assert isinstance(result, NotInSpan) and result.residual_monomials > 0
+    # one pick per block assignment lands in the target's only component;
+    # the full enumeration substitutes 4! * 4^4 = 6144
+    assert calls[0] <= 24
+    assert result.k_saturated == 0 and result.axioms_skipped == ()
+
+
+def test_target_outside_every_component_substitutes_nothing(monkeypatch):
+    calls = count_substitute(monkeypatch)
+    target = named("identity_1_2 twist-free")
+    assert len(consequence.target_components(target)) == 9
+    result, pol = derive(target, [catalog("hom_malcev")], SearchBounds(3))
+    assert calls[0] == 0
+    assert isinstance(result, NotInSpan)
+    assert result.residual == target.poly == pol.poly
+
+
+def test_ungraded_axiom_enumerates_everything(monkeypatch):
+    calls = count_substitute(monkeypatch)
+    target, axioms = named("J(w*x,a(y),a(z))"), [catalog("malcev"), catalog("hom_malcev")]
+    result, _ = derive(target, axioms, K1)
+    derived = calls[0]
+    calls[0] = 0
+    want, _ = full_path(target, axioms, K1)
+    assert isinstance(result, NotInSpan) and isinstance(want, NotInSpan)
+    assert derived == calls[0] == 2 * 24 * 2 ** 4
+    assert result.k_saturated is None
+
+
+def test_skipped_axioms_are_named():
+    result, _ = derive(catalog("hom_jacobi"), [catalog("hom_jacobi"), catalog("hom_malcev")], K0)
+    assert isinstance(result, Certificate)
+    result, _ = derive(catalog("hom_jacobi"),
+                       [catalog("hom_malcev"), catalog("identity_1_2")], K0)
+    assert result.axioms_skipped == ("hom_malcev", "identity_1_2")
+    assert result.k_saturated == 0
+
+
+def test_k_saturated_bounds_the_powers_that_matter(monkeypatch):
+    calls = count_substitute(monkeypatch)
+    # w has grade 4 against the axiom's 3, so picks need power <= 1 on w
+    target, axioms = named("a(a2(w))*J(x,y,z)"), [catalog("hom_malcev")]
+    runs = []
+    for k in range(4):
+        calls[0] = 0
+        result, _ = derive(target, axioms, SearchBounds(k))
+        runs.append((result.k_saturated, result.residual, calls[0]))
+    assert runs[0][0] == 1 and runs[0][1:] != runs[1][1:]
+    assert runs[1] == runs[2] == runs[3]
+    # every grade of this target is below the axiom's: nothing to saturate
+    result, _ = derive(named("(w*x)*(y*z)"), axioms, K0)
+    assert result.k_saturated == 0
