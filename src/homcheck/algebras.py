@@ -6,13 +6,17 @@ An algebra is an anticommutative product on basis e_1..e_n, stored as
 rational constants c[i][j][k] for i < j only (e_j*e_i = -e_i*e_j,
 e_i*e_i = 0), together with an n x n rational twist matrix.  Elements
 are sparse coefficient vectors.  Identity checks polarize first and then
-evaluate on all basis tuples, which is complete by multilinearity over a
+evaluate on basis tuples, which is complete by multilinearity over a
 characteristic-0 field.
 
-The sweep over basis tuples clears denominators once, so it multiplies
-integer structure constants, and it keeps one table per product node
-below the top of each monomial, indexed by the basis indices of only the
-variables in that node.  A node over variable set S is therefore computed
+The sweep visits one basis tuple per orbit of the identity's variable
+swaps: where the normal form is symmetric or antisymmetric under every
+transposition of a block of variables, only tuples whose indices rise
+along the block are evaluated (strictly, in an antisymmetric block).
+It clears denominators once, so it multiplies integer structure
+constants, and it keeps one table per product node below the top of
+each monomial, indexed by the basis indices of only the variables in
+that node.  A node over variable set S is therefore computed at most
 dim^|S| times, not once per tuple.
 
 JSON schema (rationals as "p/q" or integer strings; omitted (i,j)
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .identities import polarize
+from .identities import polarize, swap_blocks
 from .normalform import mono_leaves
 
 BUNDLED = ("cross3", "cross3_rot", "m7", "m7_auto", "abelian4")
@@ -308,10 +312,26 @@ def _times(c, d):
 
 
 def check_identity_concrete(spec, ident):
-    """Evaluate the polarized identity on all basis tuples.
+    """Evaluate the polarized identity on basis tuples, one per orbit of
+    its variable swaps.
 
     Returns None when the identity holds, otherwise the Counterexample
     at the first failing tuple in lexicographic tuple order.
+
+    ``swap_blocks`` finds the blocks of variables under whose
+    transpositions the normal form f is symmetric or antisymmetric; it
+    compares exact normal forms, so each block is a symmetry of the free
+    algebra and not of this one algebra only.  Within each block, taken
+    left to right, a tuple is visited only if its indices do not
+    decrease, or strictly increase in an antisymmetric block: the
+    lexicographically least tuple of its orbit.  This cannot change the
+    result.  The sweep evaluates f itself, and the normal form uses only
+    anticommutativity, so f(s t) = +-f(t) for every swap s of a block in
+    every anticommutative algebra, multiplicative or not.  The failing
+    tuples are therefore a union of orbits, and the least failing tuple
+    is the least of its orbit, so it is visited and its residual is
+    computed as before.  A tuple with equal indices on an antisymmetric
+    pair gives f = -f, so f = 0 over the rationals, and it is skipped.
 
     The sweep runs in integers.  The product constants are scaled by dp
     and the twist by dt, the least common multiples of their
@@ -321,8 +341,9 @@ def check_identity_concrete(spec, ident):
     common denominator.  Every product node below the top of a monomial
     has a table with one slot per assignment of basis indices to the
     variables it contains, filled on first use, so a node over variable
-    set S is computed dim^|S| times.  The top node contains every
-    variable and is multiplied out from its children at each tuple.
+    set S is computed at most dim^|S| times.  The top node contains
+    every variable and is multiplied out from its children at each
+    visited tuple.
     """
     ident = ident if ident.is_multilinear else polarize(ident)
     terms = ident.poly.sorted_terms()
@@ -361,7 +382,16 @@ def check_identity_concrete(spec, ident):
     twisted = [[{i: 1} for i in range(spec.dim)]]
     for _ in range(max((p for _, p in leaf_set), default=0)):
         twisted.append([apply_twist(ispec, u) for u in twisted[-1]])
+    # (p, q, gap): the index at position q must exceed the one at p by
+    # at least gap, for consecutive positions p < q of one block
+    steps = [
+        (p, q, 1 if sign < 0 else 0)
+        for positions, sign in swap_blocks(ident)
+        for p, q in zip(positions, positions[1:])
+    ]
     for tup in itertools.product(range(spec.dim), repeat=len(ident.vars)):
+        if any(tup[q] - tup[p] < gap for p, q, gap in steps):
+            continue
         leaves = {(v, p): twisted[p][tup[v]] for v, p in leaf_set}
         value = element_add(
             (w, _eval_mono(ispec, mono, leaves, tables, tup)) for w, mono in weighted

@@ -108,6 +108,49 @@ def rename(ident, mapping, target_vars):
     return substitute(ident, Substitution(images, tuple(target_vars)))
 
 
+def swap_blocks(ident):
+    """Blocks of variable positions under whose transpositions ``ident``
+    is symmetric (sign 1) or antisymmetric (sign -1), as a tuple of
+    (positions, sign) pairs; variables in no block are left out.
+
+    Each transposition is applied to the normal form, which is compared
+    exactly with +poly and -poly, so a block is a symmetry of the free
+    algebra.  If (i j) and (j k) are symmetries, so is (i k) =
+    (i j)(j k)(i j), and all three have one sign unless the polynomial
+    is zero.  So the swaps form cliques: the block of its first position
+    i is i with every j for which (i j) is a symmetry, and a position
+    already in a block is not tried again.  The zero polynomial matches
+    every swap with sign 1.
+    """
+    n = len(ident.vars)
+    coeffs = ident.poly.coeffs
+    blocks, seen = [], set()
+    for i in range(n):
+        if i in seen:
+            continue
+        block = [i]
+        for j in range(i + 1, n):
+            if j in seen:
+                continue
+            images = [(v, 0) for v in range(n)]
+            images[i], images[j] = images[j], images[i]
+            swapped = substitute(ident, Substitution(tuple(images), ident.vars))
+            image = swapped.poly.coeffs
+            if image == coeffs:
+                sign = 1
+            elif len(image) == len(coeffs) and all(
+                coeffs.get(m) == -c for m, c in image.items()
+            ):
+                sign = -1
+            else:
+                continue
+            block.append(j)
+        if len(block) > 1:
+            seen.update(block)
+            blocks.append((tuple(block), sign))
+    return tuple(blocks)
+
+
 def polarize(ident):
     """Full multilinearization over characteristic 0.
 

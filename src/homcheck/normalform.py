@@ -121,13 +121,6 @@ class MPoly:
     def __init__(self, coeffs=None):
         self.coeffs = {m: c for m, c in (coeffs or {}).items() if c}
 
-    @classmethod
-    def from_terms(cls, terms):
-        acc = {}
-        for coeff, mono in terms:
-            acc[mono] = acc.get(mono, 0) + coeff
-        return cls(acc)
-
     @property
     def is_zero(self):
         return not self.coeffs

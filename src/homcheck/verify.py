@@ -206,17 +206,15 @@ def verify_paper(bounds=None):
 
     # 9: twist = identity reduction on the bundled concrete algebras.
     ok, notes = True, []
-    for name in ("cross3", "m7"):
-        spec = load_algebra_file(name)
+    specs = {name: load_algebra_file(name) for name in ("cross3", "m7")}
+    for name, spec in specs.items():
         hv = check_identity_concrete(spec, hom_malcev) is None
         mv = check_identity_concrete(spec, catalog("malcev")) is None
         if hv != mv:
             ok = False
         notes.append(f"{name}: hom_malcev={'Holds' if hv else 'fails'},"
                      f" malcev={'Holds' if mv else 'fails'}")
-    cross3_lie = (
-        check_identity_concrete(load_algebra_file("cross3"), hom_jacobi) is None
-    )
+    cross3_lie = check_identity_concrete(specs["cross3"], hom_jacobi) is None
     ok = ok and cross3_lie
     notes.append(f"cross3 hom_jacobi {'Holds' if cross3_lie else 'fails'}")
     steps.append(Step(9, "twist=Id reduction on concrete algebras", ok,

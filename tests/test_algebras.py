@@ -22,8 +22,23 @@ from homcheck.algebras import (
     multiply,
     yau_twist,
 )
-from homcheck.identities import catalog, polarize, strip_twist
-from homcheck.normalform import mono_leaves, normalize
+from homcheck.identities import (
+    Identity,
+    Substitution,
+    catalog,
+    identity_from_dsl,
+    polarize,
+    strip_twist,
+    substitute,
+    swap_blocks,
+)
+from homcheck.normalform import (
+    MPoly,
+    mono_degrees,
+    mono_leaves,
+    normalize,
+    poly_combine,
+)
 
 from conftest import random_raw_expr
 
@@ -361,6 +376,79 @@ def test_concrete_sweep_matches_reference_sweep():
             else:
                 assert (got.tuple_indices, got.residual) == want, name
     assert verdicts == {True, False}
+
+
+def _swapped(ident, i, j):
+    images = [(v, 0) for v in range(len(ident.vars))]
+    images[i], images[j] = images[j], images[i]
+    return substitute(ident, Substitution(tuple(images), ident.vars))
+
+
+def _random_multilinear(rng):
+    """The part of a random expression linear in each of w, x, y, z."""
+    while True:
+        poly = normalize(random_raw_expr(rng, depth=3))
+        poly = MPoly(
+            {m: c for m, c in poly.coeffs.items()
+             if mono_degrees(m, 4) == (1, 1, 1, 1)}
+        )
+        if poly:
+            return Identity(("w", "x", "y", "z"), poly)
+
+
+def test_symmetry_reduced_sweep_matches_reference_sweep():
+    # identities with swap symmetries, so that the sweep skips tuples
+    rng = random.Random(9)
+    idents = []
+    for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):  # (w y), (x z) not adjacent
+        for sign in (1, -1):
+            ident = _random_multilinear(rng)
+            poly = poly_combine([(1, ident.poly), (sign, _swapped(ident, i, j).poly)])
+            idents.append(Identity(ident.vars, poly))
+            assert any({i, j} <= set(b) for b, _ in swap_blocks(idents[-1]))
+    ident = _random_multilinear(rng)
+    sym = poly_combine([(1, ident.poly), (1, _swapped(ident, 0, 2).poly)])
+    sym = Identity(ident.vars, sym)
+    two = poly_combine([(1, sym.poly), (-1, _swapped(sym, 1, 3).poly)])
+    idents.append(Identity(ident.vars, two))
+    assert len(swap_blocks(idents[-1])) == 2
+    idents.append(identity_from_dsl("J(w*x,a(y),a(z))"))
+    specs = [_random_spec(rng, multiplicative=False) for _ in range(12)]
+    specs.append(yau_twist(bundled("cross3_rot")))
+    verdicts = set()
+    for spec in specs:
+        for ident in idents:
+            got = check_identity_concrete(spec, ident)
+            want = _reference_sweep(spec, ident)
+            verdicts.add(got is None)
+            if want is None:
+                assert got is None
+            else:
+                assert (got.tuple_indices, got.residual) == want
+    assert verdicts == {True, False}
+
+
+def test_sweep_visits_one_tuple_per_orbit(monkeypatch):
+    # the sweep adds up the terms once per tuple it evaluates
+    specs = {name: bundled(name) for name in ("m7", "cross3", "abelian4")}
+    calls = 0
+
+    def counted(parts):
+        nonlocal calls
+        calls += 1
+        return element_add(parts)
+
+    monkeypatch.setattr(algebras, "element_add", counted)
+    for spec, name, count in (
+        ("m7", "hom_malcev", 1372),
+        ("m7", "identity_1_2", 441),
+        ("m7", "eq_2_2", 784),
+        ("cross3", "hom_jacobi", 1),
+        ("abelian4", "hom_jacobi", 4),
+    ):
+        calls = 0
+        assert check_identity_concrete(specs[spec], catalog(name)) is None
+        assert calls == count, (spec, name)
 
 
 def _nodes_below_top(mono):

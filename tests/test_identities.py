@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from homcheck.algebras import check_identity_concrete, load_algebra_file
 from homcheck.dsl import RawExpr, parse_expr
 from homcheck.identities import (
     Identity,
@@ -15,6 +16,7 @@ from homcheck.identities import (
     rename,
     strip_twist,
     substitute,
+    swap_blocks,
 )
 from homcheck.normalform import MPoly, mono_degrees, normalize
 
@@ -190,3 +192,45 @@ def test_substitute_commutes_with_normalization():
             Substitution(tuple(images), target),
         ).poly
         assert via_raw == via_normal
+
+
+def _named_blocks(ident):
+    return {(tuple(ident.vars[p] for p in positions), sign)
+            for positions, sign in swap_blocks(ident)}
+
+
+def test_swap_blocks_of_the_catalog():
+    antisym_pairs = {(("w", "x"), -1), (("y", "z"), -1)}
+    expected = {
+        "hom_malcev": {(("x#1", "x#2"), 1)},
+        "malcev": {(("x#1", "x#2"), 1)},
+        "identity_1_2": antisym_pairs,
+        "eq_2_3": antisym_pairs,
+        "eq_2_4": antisym_pairs,
+        "eq_2_5": antisym_pairs,
+        # symmetric blocks whose positions are not adjacent
+        "eq_2_2": {(("w", "y"), 1), (("x", "z"), 1)},
+        "hom_jacobi": {(("x", "y", "z"), -1)},
+    }
+    for name, blocks in expected.items():
+        assert _named_blocks(polarize(catalog(name))) == blocks, name
+
+
+def test_swap_blocks_without_a_swap_symmetry():
+    assert swap_blocks(identity_from_dsl("vars x,y,z; (x*a(y))*z")) == ()
+    # changes sign under the double swap (w y)(x z) only, which is not a
+    # transposition
+    ident = identity_from_dsl("vars w,x,y,z; (w*a(x))*(y*a(z))")
+    double = substitute(
+        ident, Substitution(((2, 0), (3, 0), (0, 0), (1, 0)), ident.vars)
+    )
+    assert double.poly == ident.poly.scale(-1)
+    assert swap_blocks(ident) == ()
+
+
+def test_swap_blocks_of_the_zero_polynomial():
+    # every swap matches; the skipped tuples evaluate to 0 like all others
+    zero = catalog("lemma_2_4_ii")
+    assert zero.poly.is_zero
+    assert swap_blocks(zero) == (((0, 1, 2, 3), 1),)
+    assert check_identity_concrete(load_algebra_file("m7"), zero) is None
