@@ -332,6 +332,8 @@ def check_identity_concrete(spec, ident):
     is the least of its orbit, so it is visited and its residual is
     computed as before.  A tuple with equal indices on an antisymmetric
     pair gives f = -f, so f = 0 over the rationals, and it is skipped.
+    A declared variable that f does not contain takes only index 0: f
+    does not depend on it, so the least failing tuple has index 0 there.
 
     The sweep runs in integers.  The product constants are scaled by dp
     and the twist by dt, the least common multiples of their
@@ -389,7 +391,8 @@ def check_identity_concrete(spec, ident):
         for positions, sign in swap_blocks(ident)
         for p, q in zip(positions, positions[1:])
     ]
-    for tup in itertools.product(range(spec.dim), repeat=len(ident.vars)):
+    ranges = [range(spec.dim if d else 1) for d in ident.degrees]
+    for tup in itertools.product(*ranges):
         if any(tup[q] - tup[p] < gap for p, q, gap in steps):
             continue
         leaves = {(v, p): twisted[p][tup[v]] for v, p in leaf_set}

@@ -6,7 +6,8 @@ exact rational linear combination of substitution instances of the
 sums adds nothing beyond substituting single monomials, so for a fixed
 twist-power bound K the instance set is finite.  Membership in its span
 is decided by exact integer-scaled Gaussian elimination over the
-monomial basis; a success yields a Certificate whose replay reproduces
+monomial basis, one integer row reduction serving the target and the
+instances alike; a success yields a Certificate whose replay reproduces
 the target bit for bit, a failure is reported as NotInSpan *within the
 given bounds* (never a non-derivability claim).
 
@@ -48,6 +49,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .identities import Identity, Substitution, polarize, substitute
 from .normalform import MPoly, canon, mono_key, mono_leaves, poly_combine
@@ -367,84 +369,69 @@ def _pick_grade(picks, grades, mono_grades, n):
 # ---------------------------------------------------------------------------
 # exact span membership
 
+_TARGET = -1  # combo key of the target row, next to the instance indices
+
+
+def _integer_row(poly, key):
+    # poly with its denominators cleared, and the combo that records it
+    den = math.lcm(*(c.denominator for c in poly.coeffs.values()))
+    return {m: int(c * den) for m, c in poly.coeffs.items()}, {key: den}
+
+
 def _content_reduce(vec, combo):
-    g = 0
-    for c in vec.values():
-        g = math.gcd(g, c)
-    for c in combo.values():
-        g = math.gcd(g, c)
+    g = math.gcd(*vec.values(), *combo.values())
     if g > 1:
-        for k in vec:
-            vec[k] //= g
-        for k in combo:
-            combo[k] //= g
+        for d in (vec, combo):
+            for k in d:
+                d[k] //= g
+
+
+def _scale_sub(d, lp, a, row):
+    # d <- lp * d - a * row in place, dropping zero entries
+    for k, c in d.items():
+        d[k] = c * lp
+    for k, c in row.items():
+        v = d.get(k, 0) - a * c
+        if v:
+            d[k] = v
+        else:
+            d.pop(k, None)
+
+
+def _reduce(vec, combo, pivots):
+    """Reduce the integer row ``vec`` fully against the pivots, the least
+    pivot monomial it contains first, keeping vec == sum combo_k * row_k."""
+    while True:
+        hits = [m for m in vec if m in pivots]
+        if not hits:
+            return
+        m = min(hits, key=mono_key)
+        row, rcombo = pivots[m]
+        a, lp = vec[m], row[m]
+        _scale_sub(vec, lp, a, row)
+        _scale_sub(combo, lp, a, rcombo)
+        _content_reduce(vec, combo)
 
 
 def span_membership(target, instances):
     """Decide whether target.poly lies in the rational span of the instances.
 
     Returns a Certificate on success, NotInSpan (with the unreachable
-    residual) otherwise.  Elimination is exact: pivot rows are kept as
-    content-reduced integer vectors whose pivot is their smallest
+    residual) otherwise.  Elimination is exact, and one routine, _reduce,
+    reduces the target and the instances alike: each is an integer row
+    with the combo of inputs it sums (the target under key _TARGET,
+    instances by index), and each pivot row's pivot is its smallest
     monomial, so fully reducing against available pivots terminates and
-    removes every reachable monomial.  ``instances`` is read in order and
-    no further once the residual is empty.
+    removes every reachable monomial.  The target row is reduced after
+    every new pivot it contains; divided by its _TARGET entry it is the
+    residual.  ``instances`` is read in order and no further once the
+    residual is empty.
     """
     pivots = {}  # pivot monomial -> (int row dict, int combo dict)
-    residual = dict(target.poly.coeffs)  # Fraction coefficients
-    tcombo = {}  # instance index -> Fraction
-
-    def reduce_residual():
-        while True:
-            hits = [m for m in residual if m in pivots]
-            if not hits:
-                return
-            m = min(hits, key=mono_key)
-            row, combo = pivots[m]
-            f = residual[m] / row[m]
-            for mm, c in row.items():
-                v = residual.get(mm, 0) - f * c
-                if v:
-                    residual[mm] = v
-                else:
-                    residual.pop(mm, None)
-            for i, c in combo.items():
-                v = tcombo.get(i, 0) + f * c
-                if v:
-                    tcombo[i] = v
-                else:
-                    tcombo.pop(i, None)
-
-    reduce_residual()
+    residual, tcombo = _integer_row(target.poly, _TARGET)
     for idx, inst in enumerate(instances if residual else ()):
-        poly = inst.identity.poly
-        den = math.lcm(*(c.denominator for c in poly.coeffs.values()))
-        vec = {m: int(c * den) for m, c in poly.coeffs.items()}
-        combo = {idx: den}  # invariant: vec == sum combo_i * instance_i
-        while True:
-            hits = [m for m in vec if m in pivots]
-            if not hits:
-                break
-            m = min(hits, key=mono_key)
-            row, rcombo = pivots[m]
-            a, lp = vec[m], row[m]
-            for mm, c in vec.items():
-                vec[mm] = c * lp
-            for mm, c in row.items():
-                v = vec.get(mm, 0) - a * c
-                if v:
-                    vec[mm] = v
-                else:
-                    vec.pop(mm, None)
-            for i, c in combo.items():
-                combo[i] = c * lp
-            for i, c in rcombo.items():
-                v = combo.get(i, 0) - a * c
-                if v:
-                    combo[i] = v
-                else:
-                    combo.pop(i, None)
-            _content_reduce(vec, combo)
+        vec, combo = _integer_row(inst.identity.poly, idx)
+        _reduce(vec, combo, pivots)
         if not vec:
             continue
         lead = min(vec, key=mono_key)
@@ -453,14 +440,16 @@ def span_membership(target, instances):
             combo = {i: -c for i, c in combo.items()}
         pivots[lead] = (vec, combo)
         if lead in residual:
-            reduce_residual()
+            _reduce(residual, tcombo, pivots)
             if not residual:
                 break  # certified: read no further instances
 
+    scale = tcombo[_TARGET]
     if residual:
-        return NotInSpan(MPoly(residual))
+        return NotInSpan(MPoly({m: Fraction(c, scale) for m, c in residual.items()}))
     rows = [
-        (instances[i], c) for i, c in sorted(tcombo.items()) if c
+        (instances[i], Fraction(-c, scale))
+        for i, c in sorted(tcombo.items()) if i != _TARGET
     ]
     cert = Certificate(target, rows)
     if cert.replay() != target.poly:

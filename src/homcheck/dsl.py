@@ -23,9 +23,11 @@ The macros J (Hom-Jacobian) and G expand at parse time::
     J(t,u,v) = (t*u)*a(v) + (u*v)*a(t) + (v*t)*a(u)
     G(w,x,y,z) = J(w*x, a(y), a(z)) - a2(x)*J(w,y,z) - J(x,y,z)*a2(w)
 
-Both are multilinear, so sum arguments distribute.  Parsing never
-rewrites products: the result is a flat list of (coefficient, raw term)
-pairs where each raw term is a pure product/twist tree over variables.
+Both are multilinear, so sum arguments distribute.  They are built from
+the three operations on term tuples that the parser itself uses:
+product, twist and negation.  Parsing never rewrites products: the
+result is a flat list of (coefficient, raw term) pairs where each raw
+term is a pure product/twist tree over variables.
 """
 
 from __future__ import annotations
@@ -81,72 +83,54 @@ class RawExpr:
         return len(self.terms)
 
 
-def raw_scale(c, e):
-    c = Fraction(c)
-    if c == 0:
-        return RawExpr((), e.vars)
-    return RawExpr(tuple((c * ci, t) for ci, t in e.terms), e.vars)
+# Term tuples are tuples of (coefficient, raw term) pairs.  The parser and
+# the macros build every expression from these three operations.
+def _prod(ts1, ts2):
+    return tuple((c1 * c2, prod(t1, t2)) for c1, t1 in ts1 for c2, t2 in ts2)
 
 
-def raw_neg(e):
-    return raw_scale(-1, e)
-
-
-def raw_add(*exprs):
-    names = exprs[0].vars
-    terms = []
-    for e in exprs:
-        if e.vars != names:
-            raise ValueError("mixed variable contexts")
-        terms.extend(e.terms)
-    return RawExpr(tuple(terms), names)
-
-
-def raw_prod(e1, e2):
-    if e1.vars != e2.vars:
-        raise ValueError("mixed variable contexts")
-    terms = tuple(
-        (c1 * c2, prod(t1, t2)) for c1, t1 in e1.terms for c2, t2 in e2.terms
-    )
-    return RawExpr(terms, e1.vars)
-
-
-def raw_twist(e, power=1):
-    terms = e.terms
+def _twist(ts, power=1):
     for _ in range(power):
-        terms = tuple((c, twist(t)) for c, t in terms)
-    return RawExpr(terms, e.vars)
+        ts = tuple((c, twist(t)) for c, t in ts)
+    return ts
 
 
-def raw_jacobian(t, u, v):
+def _neg(ts):
+    return tuple((-c, t) for c, t in ts)
+
+
+def _jacobian(t, u, v):
     """J(t,u,v) = t*u*a(v) + u*v*a(t) + v*t*a(u), multilinear in t,u,v."""
-    return raw_add(
-        raw_prod(raw_prod(t, u), raw_twist(v)),
-        raw_prod(raw_prod(u, v), raw_twist(t)),
-        raw_prod(raw_prod(v, t), raw_twist(u)),
+    return (
+        _prod(_prod(t, u), _twist(v))
+        + _prod(_prod(u, v), _twist(t))
+        + _prod(_prod(v, t), _twist(u))
     )
 
 
-def raw_g(w, x, y, z):
+def _g(w, x, y, z):
     """G(w,x,y,z) = J(w*x,a(y),a(z)) - a2(x)*J(w,y,z) - J(x,y,z)*a2(w)."""
-    return raw_add(
-        raw_jacobian(raw_prod(w, x), raw_twist(y), raw_twist(z)),
-        raw_neg(raw_prod(raw_twist(x, 2), raw_jacobian(w, y, z))),
-        raw_neg(raw_prod(raw_jacobian(x, y, z), raw_twist(w, 2))),
+    return (
+        _jacobian(_prod(w, x), _twist(y), _twist(z))
+        + _neg(_prod(_twist(x, 2), _jacobian(w, y, z)))
+        + _neg(_prod(_jacobian(x, y, z), _twist(w, 2)))
     )
 
 
-_MACROS = {"J": (3, raw_jacobian), "G": (4, raw_g)}
+_MACROS = {"J": (3, _jacobian), "G": (4, _g)}
 
 
 def expand_macros(name, args):
-    """Expand the macro ``name`` applied to RawExpr arguments."""
+    """Expand the macro ``name`` applied to RawExpr arguments, which must
+    share one variable table."""
     if name not in _MACROS:
         raise ValueError(f"unknown macro {name!r}")
     arity, fn = _MACROS[name]
     if len(args) != arity:
         raise ValueError(f"{name} takes {arity} arguments, got {len(args)}")
-    return fn(*args)
+    if len({a.vars for a in args}) != 1:
+        raise ValueError("mixed variable contexts")
+    return RawExpr(fn(*(a.terms for a in args)), args[0].vars)
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +259,14 @@ class _Parser:
         factors = self.factor()
         while self.peek()[0] == "*":
             self.next()
-            factors = _raw_prod_terms(factors, self.factor())
+            factors = _prod(factors, self.factor())
         return tuple((coeff * c, t) for c, t in factors if coeff * c != 0)
 
     def factor(self):
         tok = self.next()
         kind, val = tok[0], tok[1]
         if kind == "-":
-            return tuple((-c, t) for c, t in self.factor())
+            return _neg(self.factor())
         if kind == "(":
             inner = self.expr()
             self.expect(")")
@@ -303,22 +287,13 @@ class _Parser:
         if name in ("a", "a2"):
             if len(args) != 1:
                 self.error(f"{name} takes 1 argument, got {len(args)}", tok)
-            power = 1 if name == "a" else 2
-            terms = args[0]
-            for _ in range(power):
-                terms = tuple((c, twist(t)) for c, t in terms)
-            return terms
+            return _twist(args[0], 1 if name == "a" else 2)
         if name in _MACROS:
             arity, fn = _MACROS[name]
             if len(args) != arity:
                 self.error(f"{name} takes {arity} arguments, got {len(args)}", tok)
-            dummy = tuple(RawExpr(a, ()) for a in args)
-            return fn(*dummy).terms
+            return fn(*args)
         self.error(f"unknown function {name!r}", tok)
-
-
-def _raw_prod_terms(ts1, ts2):
-    return tuple((c1 * c2, prod(t1, t2)) for c1, t1 in ts1 for c2, t2 in ts2)
 
 
 def parse_expr(text):

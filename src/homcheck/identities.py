@@ -67,13 +67,6 @@ class Substitution:
         }
 
 
-def identity_substitution(ident):
-    """The substitution mapping every variable of ``ident`` to itself."""
-    return Substitution(
-        tuple((i, 0) for i in range(len(ident.vars))), ident.vars
-    )
-
-
 def _map_leaves(mono, images):
     if isinstance(mono[0], int):
         return shift_power(images[mono[0]], mono[1])

@@ -158,9 +158,6 @@ class MPoly:
         return f"MPoly({len(self.coeffs)} terms)"
 
 
-ZERO = MPoly()
-
-
 def _push_twists(term, power):
     # raw term -> product tree over canonical (var, power) leaves
     tag = term[0]

@@ -23,6 +23,7 @@ from homcheck.algebras import (
     yau_twist,
 )
 from homcheck.identities import (
+    CATALOG_NAMES,
     Identity,
     Substitution,
     catalog,
@@ -413,19 +414,30 @@ def test_symmetry_reduced_sweep_matches_reference_sweep():
     idents.append(Identity(ident.vars, two))
     assert len(swap_blocks(idents[-1])) == 2
     idents.append(identity_from_dsl("J(w*x,a(y),a(z))"))
+    # declared variables the identity does not contain: v (and w)
+    unused = [identity_from_dsl(text) for text in UNUSED_VARIABLE_CASES]
     specs = [_random_spec(rng, multiplicative=False) for _ in range(12)]
     specs.append(yau_twist(bundled("cross3_rot")))
-    verdicts = set()
+    specs.append(bundled("cross3"))
+    verdicts, unused_verdicts = set(), set()
     for spec in specs:
-        for ident in idents:
+        for ident in idents + unused:
             got = check_identity_concrete(spec, ident)
             want = _reference_sweep(spec, ident)
             verdicts.add(got is None)
+            if ident in unused:
+                unused_verdicts.add(got is None)
             if want is None:
                 assert got is None
             else:
                 assert (got.tuple_indices, got.residual) == want
-    assert verdicts == {True, False}
+    assert verdicts == unused_verdicts == {True, False}
+
+
+UNUSED_VARIABLE_CASES = (
+    "vars v,x,y,z; J(x,y,z)",
+    "vars v,w,x,y,z; J(x,y,x*z) - J(x,y,z)*x",
+)
 
 
 def test_sweep_visits_one_tuple_per_orbit(monkeypatch):
@@ -445,9 +457,15 @@ def test_sweep_visits_one_tuple_per_orbit(monkeypatch):
         ("m7", "eq_2_2", 784),
         ("cross3", "hom_jacobi", 1),
         ("abelian4", "hom_jacobi", 4),
+        # a variable the identity does not contain is swept at index 0
+        # only; sweeping v (and w, one symmetric block) over every index
+        # would visit 3 and 28 * 1372 = 38 416 tuples
+        ("cross3", UNUSED_VARIABLE_CASES[0], 1),
+        ("m7", UNUSED_VARIABLE_CASES[1], 1372),
     ):
         calls = 0
-        assert check_identity_concrete(specs[spec], catalog(name)) is None
+        ident = catalog(name) if name in CATALOG_NAMES else identity_from_dsl(name)
+        assert check_identity_concrete(specs[spec], ident) is None
         assert calls == count, (spec, name)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from homcheck.consequence import (
     span_membership,
 )
 from homcheck.identities import (
+    Identity,
     Substitution,
     catalog,
     identity_from_dsl,
@@ -31,6 +33,7 @@ from conftest import child_env
 
 K0 = SearchBounds(0)
 K1 = SearchBounds(1)
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def test_enumerate_single_variable():
@@ -423,3 +426,48 @@ def test_k_saturated_bounds_the_powers_that_matter(monkeypatch):
     # every grade of this target is below the axiom's: nothing to saturate
     result, _ = derive(named("(w*x)*(y*z)"), axioms, K0)
     assert result.k_saturated == 0
+
+
+def test_ungraded_fallback_stays_lazy(monkeypatch):
+    # malcev is ungraded, so derive enumerates every instance up to K; the
+    # lazy stream still stops at the first pick, which certifies the
+    # target (a full build at K=3 substitutes 6144 picks)
+    calls = count_substitute(monkeypatch)
+    malcev = catalog("malcev")
+    for k in (0, 3):
+        calls[0] = 0
+        result, _ = derive(malcev, [malcev], SearchBounds(k))
+        assert isinstance(result, Certificate)
+        assert calls[0] == 1, k
+
+
+# -- one reduction for the target and the instances ---------------------------
+
+def scaled(ident, c):
+    return Identity(ident.vars, ident.poly.scale(c), ident.name)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("target", REFUTE_TARGETS)
+def test_residual_is_linear_in_the_target(target, k):
+    target, axioms = named(target), [catalog("hom_malcev")]
+    two_thirds = Fraction(2, 3)
+    got, _ = derive(scaled(target, two_thirds), axioms, SearchBounds(k))
+    want, _ = derive(target, axioms, SearchBounds(k))
+    assert isinstance(got, NotInSpan) and isinstance(want, NotInSpan)
+    assert got.residual == want.residual.scale(two_thirds)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_certificate_is_linear_in_the_target(k):
+    half = scaled(catalog("identity_1_2"), Fraction(1, 2))
+    result, _ = derive(half, [catalog("hom_malcev")], SearchBounds(k))
+    with open(GOLDEN / f"identity_1_2_K{k}.json") as fh:
+        want = json.load(fh)
+    got = result.to_obj()
+    assert [(r["axiom"], r["substitution"]) for r in got] == [
+        (r["axiom"], r["substitution"]) for r in want
+    ]
+    assert [Fraction(r["coeff"]) for r in got] == [
+        Fraction(r["coeff"]) / 2 for r in want
+    ]

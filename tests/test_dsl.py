@@ -37,6 +37,23 @@ def test_parse_jacobian_macro():
     )
 
 
+def test_parse_g_macro():
+    # G(w,x,y,z) = J(w*x,a(y),a(z)) - a2(x)*J(w,y,z) - J(x,y,z)*a2(w),
+    # term for term and in this order
+    w, x, y, z = var(0), var(1), var(2), var(3)
+
+    def jac(t, u, v):
+        return [prod(prod(t, u), twist(v)), prod(prod(u, v), twist(t)),
+                prod(prod(v, t), twist(u))]
+
+    want = (
+        [(1, t) for t in jac(prod(w, x), twist(y), twist(z))]
+        + [(-1, prod(twist(twist(x)), t)) for t in jac(w, y, z)]
+        + [(-1, prod(t, twist(twist(w)))) for t in jac(x, y, z)]
+    )
+    assert parse_expr("G(w,x,y,z)").terms == tuple(want)
+
+
 def test_parse_twist_of_product():
     e = parse_expr("a(x*y)")
     assert e.terms == ((Fraction(1), twist(prod(var(0), var(1)))),)
@@ -54,13 +71,21 @@ def test_expand_macros_api():
     x = RawExpr(((Fraction(1), var(0)),), ("x", "y", "z"))
     y = RawExpr(((Fraction(1), var(1)),), ("x", "y", "z"))
     z = RawExpr(((Fraction(1), var(2)),), ("x", "y", "z"))
-    assert len(expand_macros("J", (x, y, z)).terms) == 3
+    assert expand_macros("J", (x, y, z)) == parse_expr("vars x,y,z; J(x,y,z)")
+    assert expand_macros("G", (x, y, z, x)) == parse_expr("vars x,y,z; G(x,y,z,x)")
     with pytest.raises(ValueError):
         expand_macros("J", (x, y))
     with pytest.raises(ValueError):
         expand_macros("G", (x, y, z))
     with pytest.raises(ValueError):
         expand_macros("H", (x,))
+    # arguments over different variable tables
+    w = RawExpr(((Fraction(1), var(0)),), ("w", "x", "y", "z"))
+    for args in ((x, y, w), (w, x, y), (x, w, w)):
+        with pytest.raises(ValueError):
+            expand_macros("J", args)
+    with pytest.raises(ValueError):
+        expand_macros("G", (w, x, y, z))
 
 
 def test_vars_header_and_sugar():
