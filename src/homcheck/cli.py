@@ -19,6 +19,7 @@ from .algebras import (
     check_identity_concrete,
     dump_algebra,
     load_algebra_file,
+    require_multiplicative,
     yau_twist,
 )
 from .consequence import Certificate, SearchBounds, derive
@@ -140,6 +141,8 @@ def cmd_verify_paper(args):
 
 def cmd_check(args):
     spec = load_algebra_file(args.algebra)
+    # the sweep evaluates the normal form, which assumes a(u*v) = a(u)*a(v)
+    require_multiplicative(spec)
     ident = _resolve_identity(args.identity)
     res = check_identity_concrete(spec, ident)
     if res is None:

@@ -27,7 +27,9 @@ Both are multilinear, so sum arguments distribute.  They are built from
 the three operations on term tuples that the parser itself uses:
 product, twist and negation.  Parsing never rewrites products: the
 result is a flat list of (coefficient, raw term) pairs where each raw
-term is a pure product/twist tree over variables.
+term is a pure product/twist tree over variables.  Expansion multiplies
+term counts, so a product that would expand to more than MAX_RAW_TERMS
+raw terms raises ParseError before it is built.
 """
 
 from __future__ import annotations
@@ -83,9 +85,21 @@ class RawExpr:
         return len(self.terms)
 
 
+# The most raw terms one product may expand to.  Nested macros or repeated
+# sums outgrow memory within a few dozen characters; the largest catalog
+# identity has 30 raw terms and G(G(w,x,y,z),...,G(z,w,x,y)) 59 049.
+MAX_RAW_TERMS = 65536
+
+
 # Term tuples are tuples of (coefficient, raw term) pairs.  The parser and
 # the macros build every expression from these three operations.
 def _prod(ts1, ts2):
+    size = len(ts1) * len(ts2)
+    if size > MAX_RAW_TERMS:
+        raise ParseError(
+            f"expression too large: a product expands to {size} raw terms "
+            f"(at most {MAX_RAW_TERMS})"
+        )
     return tuple((c1 * c2, prod(t1, t2)) for c1, t1 in ts1 for c2, t2 in ts2)
 
 

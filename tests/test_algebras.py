@@ -414,6 +414,13 @@ def test_symmetry_reduced_sweep_matches_reference_sweep():
     idents.append(Identity(ident.vars, two))
     assert len(swap_blocks(idents[-1])) == 2
     idents.append(identity_from_dsl("J(w*x,a(y),a(z))"))
+    # the partner sum of first child w, x*(y*z) - y*(x*z), vanishes where
+    # x = y, and no swap symmetry skips those tuples
+    partner_vanishes = identity_from_dsl(VANISHING_PARTNER_CASE)
+    assert swap_blocks(partner_vanishes) == ()
+    idents.append(partner_vanishes)
+    # top monomials that are leaves, or products of two leaves
+    idents.extend(identity_from_dsl(text) for text in ("a(x) - x", "a(x)*y + x*a(y)"))
     # declared variables the identity does not contain: v (and w)
     unused = [identity_from_dsl(text) for text in UNUSED_VARIABLE_CASES]
     specs = [_random_spec(rng, multiplicative=False) for _ in range(12)]
@@ -434,23 +441,31 @@ def test_symmetry_reduced_sweep_matches_reference_sweep():
     assert verdicts == unused_verdicts == {True, False}
 
 
+VANISHING_PARTNER_CASE = "w*(x*(y*z)) - w*(y*(x*z)) + (w*x)*(y*z)"
+
 UNUSED_VARIABLE_CASES = (
     "vars v,x,y,z; J(x,y,z)",
     "vars v,w,x,y,z; J(x,y,x*z) - J(x,y,z)*x",
 )
 
 
+def _count_calls(monkeypatch, name):
+    """Count the calls of the algebras function ``name``."""
+    calls = [0]
+    original = getattr(algebras, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(algebras, name, counted)
+    return calls
+
+
 def test_sweep_visits_one_tuple_per_orbit(monkeypatch):
-    # the sweep adds up the terms once per tuple it evaluates
+    # the sweep evaluates the identity once per tuple it visits
     specs = {name: bundled(name) for name in ("m7", "cross3", "abelian4")}
-    calls = 0
-
-    def counted(parts):
-        nonlocal calls
-        calls += 1
-        return element_add(parts)
-
-    monkeypatch.setattr(algebras, "element_add", counted)
+    calls = _count_calls(monkeypatch, "_residual_at")
     for spec, name, count in (
         ("m7", "hom_malcev", 1372),
         ("m7", "identity_1_2", 441),
@@ -463,10 +478,43 @@ def test_sweep_visits_one_tuple_per_orbit(monkeypatch):
         ("cross3", UNUSED_VARIABLE_CASES[0], 1),
         ("m7", UNUSED_VARIABLE_CASES[1], 1372),
     ):
-        calls = 0
+        calls[0] = 0
         ident = catalog(name) if name in CATALOG_NAMES else identity_from_dsl(name)
         assert check_identity_concrete(specs[spec], ident) is None
-        assert calls == count, (spec, name)
+        assert calls[0] == count, (spec, name)
+
+
+def test_sweep_does_one_product_per_first_child(monkeypatch):
+    # at each visited tuple, one fused product per distinct first child
+    # of the top monomials: 8 -> 5 for hom_malcev, 9 -> 5 for identity_1_2
+    spec = bundled("m7")
+    top, nested = 0, 0
+    multiply_into = algebras._multiply_into
+
+    def counted(*args):
+        nonlocal top
+        top += not nested
+        return multiply_into(*args)
+
+    def not_top(fn):
+        def wrapper(*args):
+            nonlocal nested
+            nested += 1
+            try:
+                return fn(*args)
+            finally:
+                nested -= 1
+        return wrapper
+
+    monkeypatch.setattr(algebras, "_multiply_into", counted)
+    monkeypatch.setattr(algebras, "multiply", not_top(multiply))
+    monkeypatch.setattr(algebras, "_partner_sum", not_top(algebras._partner_sum))
+    for name, tuples in (("hom_malcev", 1372), ("identity_1_2", 441)):
+        top = 0
+        firsts = {mono[0] for mono in polarize(catalog(name)).poly.coeffs}
+        assert len(firsts) == 5
+        assert check_identity_concrete(spec, catalog(name)) is None
+        assert top == tuples * len(firsts), name
 
 
 def _nodes_below_top(mono):
@@ -477,24 +525,19 @@ def _nodes_below_top(mono):
 
 
 def test_sweep_computes_each_node_once_per_assignment(monkeypatch):
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return multiply(*args)
-
-    monkeypatch.setattr(algebras, "multiply", counted)
+    # every product, multiply's included, goes through _multiply_into
+    calls = _count_calls(monkeypatch, "_multiply_into")
     spec = load_algebra_file("m7")  # 21 calls: the multiplicativity check
     ident = polarize(catalog("hom_malcev"))
     assert check_identity_concrete(spec, ident) is None
     nodes = {node for mono in ident.poly.coeffs for node in _nodes_below_top(mono)}
-    # each top node once per tuple, each node below it once per
-    # assignment of its own variables
-    bound = 7 ** 4 * len(ident.poly.coeffs) + 21 + sum(
+    firsts = {mono[0] for mono in ident.poly.coeffs}
+    # one product per first child at each tuple, and each node below
+    # the top once per assignment of its own variables
+    bound = 7 ** 4 * len(firsts) + 21 + sum(
         7 ** len({v for v, _ in mono_leaves(node)}) for node in nodes
     )
-    assert calls <= bound
+    assert calls[0] <= bound
 
 
 def test_sweep_releases_its_tables():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+from homcheck.algebras import dump_algebra, load_algebra_file
 from homcheck.cli import main
 
 from conftest import child_env
@@ -59,6 +60,12 @@ def test_parse_error_is_usage(capsys):
     code, _, err = run(capsys, "normalize", "x*(")
     assert code == 2
     assert "parse error" in err
+
+
+def test_oversized_expression_is_usage(capsys):
+    code, out, err = run(capsys, "normalize", "*".join(["(w+x)"] * 17))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: expression too large"), err
 
 
 def test_unknown_subcommand_is_usage(capsys):
@@ -180,6 +187,21 @@ def test_check_malformed_algebra_files(capsys, tmp_path):
         code, _, err = run(capsys, "check", str(path), "hom_jacobi")
         assert code == 3, path
         assert err.startswith("invalid algebra: "), err
+
+
+def test_check_refuses_non_multiplicative_twist(capsys, tmp_path):
+    # cross3 with twist 2*Id: a(e1*e2) = 2*e3 but a(e1)*a(e2) = 4*e3, so
+    # the normal form the sweep evaluates is not the identity as written
+    doc = dump_algebra(load_algebra_file("cross3"))
+    doc["twist"] = [["2" if i == j else "0" for j in range(3)] for i in range(3)]
+    doc["require_multiplicative"] = False
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(path), "a(x*y) - a(x)*a(y)")
+    assert (code, out) == (3, "")
+    assert err == (
+        "invalid algebra: twist is not an endomorphism: fails on basis pair (1, 2)\n"
+    )
 
 
 def test_check_rational_counterexamples(capsys):

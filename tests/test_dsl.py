@@ -3,6 +3,7 @@ import random
 import pytest
 from fractions import Fraction
 
+from homcheck import dsl
 from homcheck.dsl import (
     ParseError,
     RawExpr,
@@ -52,6 +53,19 @@ def test_parse_g_macro():
         + [(-1, prod(t, twist(twist(w)))) for t in jac(x, y, z)]
     )
     assert parse_expr("G(w,x,y,z)").terms == tuple(want)
+
+
+NESTED_G = "G(G(w,x,y,z),G(x,y,z,w),G(y,z,w,x),G(z,w,x,y))"
+
+
+def test_parse_bounds_product_expansion():
+    # each product may expand to at most 65536 raw terms; the check comes
+    # before the product is built, so oversized input fails fast
+    assert dsl.MAX_RAW_TERMS == 65536
+    assert len(parse_expr(NESTED_G)) == 59049
+    for text in ("*".join(["(w+x)"] * 17), f"G({NESTED_G},{NESTED_G},y,z)"):
+        with pytest.raises(ParseError, match="expression too large"):
+            parse_expr(text)
 
 
 def test_parse_twist_of_product():
