@@ -10,17 +10,11 @@ evaluate on basis tuples, which is complete by multilinearity over a
 characteristic-0 field.
 
 The sweep visits one basis tuple per orbit of the identity's variable
-swaps: where the normal form is symmetric or antisymmetric under every
-transposition of a block of variables, only tuples whose indices rise
-along the block are evaluated (strictly, in an antisymmetric block).
-It clears denominators once, so it multiplies integer structure
-constants.  By bilinearity, sum_m w_m*(A*B_m) = A*(sum_m w_m*B_m), so it
-groups the top monomials by their first child A and, at each tuple,
-does one product per distinct A: A times its partner sum, multiplied
-straight into the tuple's residual.  Each partner sum and each product
-node below the top has a table indexed by the basis indices of only its
-own variables, so one over variable set S is computed at most dim^|S|
-times, not once per tuple.
+swaps, in integers.  The identity is one tree of nodes, each a leaf or
+a weighted sum over one variable set with one product per distinct
+first child; every node below the root is tabulated on the basis
+indices of its own variables, so it is computed at most dim^|S| times
+for variable set S, not once per tuple.
 
 The sweep evaluates the identity's normal form, and normalizing pushes
 the twist through products, a(u*v) -> a(u)*a(v).  Its verdict is about
@@ -84,19 +78,36 @@ class AlgebraSpec:
     def basis_element(self, i):
         return {i: Fraction(1)}
 
+    @cached_property
+    def integer_form(self):
+        """(dp, dt, product_table, twist_cols) with the product constants
+        scaled by dp and the twist by dt, the least common multiples of
+        their denominators, so that every entry is an integer."""
+        dp = math.lcm(
+            *(c.denominator for out in self.product.values() for c in out.values())
+        )
+        dt = math.lcm(*(c.denominator for row in self.twist for c in row))
+        table = tuple(
+            tuple(tuple((k, _times(c, dp)) for k, c in cell) for cell in row)
+            for row in self.product_table
+        )
+        cols = [{r: _times(c, dt) for r, c in col.items()} for col in self.twist_cols]
+        return dp, dt, table, cols
+
     def is_multiplicative(self):
         """First basis pair violating a(u*v) = a(u)*a(v), or None."""
         return self._first_bad_pair
 
     @cached_property
     def _first_bad_pair(self):
-        # computed once: loading and checking both ask
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                lhs = apply_twist(self, self.product.get((i, j), {}))
-                rhs = multiply(self, self.twist_cols[i], self.twist_cols[j])
-                if lhs != rhs:
-                    return (i + 1, j + 1)
+        # computed once: loading and checking both ask.  In the integer
+        # form, a(e_i*e_j) = a(e_i)*a(e_j) reads a(e_i)*a(e_j) - dt*a(e_i*e_j) = 0
+        _, dt, table, cols = self.integer_form
+        for i, j in itertools.combinations(range(self.dim), 2):
+            rhs = {}
+            _multiply_into(rhs, table, 1, cols[i], cols[j])
+            if element_add([(1, rhs), *((-dt * c, cols[k]) for k, c in table[i][j])]):
+                return (i + 1, j + 1)
         return None
 
 
@@ -218,15 +229,16 @@ def dump_algebra(spec):
 # ---------------------------------------------------------------------------
 # element arithmetic (elements are sparse dicts index -> coefficient)
 
-def _multiply_into(acc, table, u, v):
-    """acc += u*v over a signed product table (AlgebraSpec.product_table).
+def _multiply_into(acc, table, w, u, v):
+    """acc += w*u*v over a signed product table (AlgebraSpec.product_table
+    or the one in AlgebraSpec.integer_form); zero coefficients stay in acc.
 
-    The one product kernel: ``multiply`` wraps it, and the concrete sweep
-    accumulates its top products straight into the tuple's residual.
-    Zero coefficients stay in acc.
+    The one product kernel, which ``multiply`` and the concrete sweep use.
     """
     for i, ci in u.items():
         row = table[i]
+        if w != 1:
+            ci *= w
         for j, cj in v.items():
             for k, c in row[j]:
                 acc[k] = acc.get(k, 0) + ci * cj * c
@@ -235,16 +247,12 @@ def _multiply_into(acc, table, u, v):
 def multiply(spec, u, v):
     """Bilinear extension of the structure constants."""
     out = {}
-    _multiply_into(out, spec.product_table, u, v)
+    _multiply_into(out, spec.product_table, 1, u, v)
     return {k: c for k, c in out.items() if c}
 
 
 def apply_twist(spec, u):
-    out = {}
-    for j, cj in u.items():
-        for r, c in spec.twist_cols[j].items():
-            out[r] = out.get(r, 0) + cj * c
-    return {k: c for k, c in out.items() if c}
+    return element_add((c, spec.twist_cols[j]) for j, c in u.items())
 
 
 def element_add(parts):
@@ -255,45 +263,19 @@ def element_add(parts):
     return {k: c for k, c in out.items() if c}
 
 
-def _eval_mono(spec, mono, twisted, tables, tup):
-    """Evaluate a canonical monomial where variable v takes the element
-    indexed tup[v]: its leaf (v, p) is twisted[p][tup[v]].
-
-    tables maps product nodes to (variables, table).  Such a node's value
-    is kept in table at the mixed-radix number of tup's entries for those
-    variables, computed on first use.  Other product nodes are computed
-    at every call.
-    """
-    if isinstance(mono[0], int):
-        return twisted[mono[1]][tup[mono[0]]]
-    entry = tables.get(mono)
-    if entry is not None:
-        variables, table = entry
-        slot = 0
-        for v in variables:
-            slot = slot * spec.dim + tup[v]
-        if table[slot] is not None:
-            return table[slot]
-    u = multiply(
-        spec,
-        _eval_mono(spec, mono[0], twisted, tables, tup),
-        _eval_mono(spec, mono[1], twisted, tables, tup),
-    )
-    if entry is not None:
-        table[slot] = u
-    return u
-
-
 def eval_poly(spec, poly, values):
     """Evaluate an MPoly; values[i] is the element for var i."""
-    # twisted[p][i] is a^p(values[i]), and variable i takes index i
+    # twisted[p][i] is a^p(values[i])
     twisted = [list(values)]
     for _ in range(max((p for m in poly.coeffs for _, p in mono_leaves(m)), default=0)):
         twisted.append([apply_twist(spec, u) for u in twisted[-1]])
-    tup = range(len(values))
-    return element_add(
-        (c, _eval_mono(spec, m, twisted, {}, tup)) for m, c in poly.coeffs.items()
-    )
+
+    def value(mono):
+        if isinstance(mono[0], int):
+            return twisted[mono[1]][mono[0]]
+        return multiply(spec, value(mono[0]), value(mono[1]))
+
+    return element_add((c, value(m)) for m, c in poly.coeffs.items())
 
 
 def eval_raw(spec, expr, values):
@@ -365,41 +347,20 @@ def check_identity_concrete(spec, ident):
     A declared variable that f does not contain takes only index 0: f
     does not depend on it, so the least failing tuple has index 0 there.
 
-    The sweep runs in integers.  The product constants are scaled by dp
-    and the twist by dt, the least common multiples of their
-    denominators, so a monomial with L leaves and twist powers summing
-    to P evaluates to dp^(L-1) * dt^P times its true value; each term's
-    coefficient absorbs that factor into an integer weight over one
-    common denominator.
+    The sweep runs in integers, over ``spec.integer_form``: a monomial
+    with L leaves and twist powers summing to P evaluates to
+    dp^(L-1) * dt^P times its true value, and each term's coefficient
+    absorbs that factor into an integer weight over one common
+    denominator.
 
-    The top monomials are grouped by their first child: the product is
-    bilinear, so sum_m w_m*(A*B_m) = A*P_A with the partner sum
-    P_A = sum_m w_m*B_m over the monomials whose first child is A.  The
-    B_m all contain the variables that A lacks, so P_A is a node over
-    those, with a table like any other.  At each visited tuple the sweep
-    multiplies each A by P_A straight into the residual: 5 products for
-    hom_malcev or identity_1_2 instead of 8 or 9.  Each partner sum and
-    each product node below the top of a monomial has a table with one
-    slot per assignment of basis indices to the variables it contains,
-    filled on first use, so one over variable set S is computed at most
-    dim^|S| times.  A partner's table holds its parts' values, so the
-    parts themselves get none.
+    f is evaluated as one tree of nodes, each a leaf (v, p) or a weighted
+    sum over one variable set (see the comment above ``_terms``).  A node
+    over variable set S is computed at most dim^|S| times, the root once
+    per visited tuple.
     """
     ident = ident if ident.is_multilinear else polarize(ident)
     terms = ident.poly.sorted_terms()
-    dp = math.lcm(
-        *(c.denominator for out in spec.product.values() for c in out.values())
-    )
-    dt = math.lcm(*(c.denominator for row in spec.twist for c in row))
-    ispec = AlgebraSpec(
-        spec.dim,
-        spec.basis,
-        {
-            ij: {k: _times(c, dp) for k, c in out.items()}
-            for ij, out in spec.product.items()
-        },
-        tuple(tuple(_times(c, dt) for c in row) for row in spec.twist),
-    )
+    dp, dt, table, cols = spec.integer_form
     leaf_lists = [list(mono_leaves(mono)) for mono, _ in terms]
     scales = [
         dp ** (len(leaves) - 1) * dt ** sum(p for _, p in leaves)
@@ -407,32 +368,13 @@ def check_identity_concrete(spec, ident):
     ]
     den = math.lcm(*(c.denominator * s for (_, c), s in zip(terms, scales)))
     weighted = [(_times(c, den // s), mono) for (mono, c), s in zip(terms, scales)]
-    # group the top monomials A*B by their first child A (None for a
-    # leaf monomial, which has none): sum_A A * (sum of w*B)
-    groups = {}
-    for w, mono in weighted:
-        first = None if isinstance(mono[0], int) else mono[0]
-        groups.setdefault(first, []).append((w, mono if first is None else mono[1]))
-    top = []
-    for first, parts in groups.items():
-        variables = sorted({v for _, m in parts for v, _ in mono_leaves(m)})
-        top.append((first, parts, variables, [None] * spec.dim ** len(variables)))
-    # the partner tables hold their parts' values, so the parts need none
-    tables = {}
-    below_top = [first for first in groups if first is not None] + [
-        child for parts in groups.values() for _, m in parts
-        if not isinstance(m[0], int) for child in m
-    ]
-    while below_top:
-        node = below_top.pop()
-        if not isinstance(node[0], int) and node not in tables:
-            variables = sorted({v for v, _ in mono_leaves(node)})
-            tables[node] = (variables, [None] * spec.dim ** len(variables))
-            below_top.extend(node)
+    root = ((), *_terms(weighted, {}, spec.dim), None)
     # twisted[p][i] is dt^p * a^p(e_i)
     twisted = [[{i: 1} for i in range(spec.dim)]]
     for _ in range(max((p for leaves in leaf_lists for _, p in leaves), default=0)):
-        twisted.append([apply_twist(ispec, u) for u in twisted[-1]])
+        twisted.append(
+            [element_add((c, cols[j]) for j, c in u.items()) for u in twisted[-1]]
+        )
     # (p, q, gap): the index at position q must exceed the one at p by
     # at least gap, for consecutive positions p < q of one block
     steps = [
@@ -444,47 +386,74 @@ def check_identity_concrete(spec, ident):
     for tup in itertools.product(*ranges):
         if any(tup[q] - tup[p] < gap for p, q, gap in steps):
             continue
-        value = _residual_at(ispec, top, twisted, tables, tup)
+        value = _evaluate(root, table, twisted, spec.dim, tup)
         if any(value.values()):
             residual = {k: Fraction(c, den) for k, c in value.items() if c}
             return Counterexample(ident.vars, tuple(i + 1 for i in tup), residual)
     return None
 
 
-def _residual_at(spec, top, twisted, tables, tup):
-    """The sweep's integer value at tup: each first child times its
-    partner sum, multiplied straight into one vector."""
-    value = {}
-    for first, parts, variables, table in top:
+# A sweep node is a leaf (v, p) or a sum (variables, leaves, products,
+# slots): the sum of w*leaf over its (w, leaf) leaves and of w*(A*P) over
+# its (w, P, A) products.  By bilinearity, sum_m w_m*(A*B_m) = A*P with
+# P = sum_m w_m*B_m, so a sum has one product per distinct first child A
+# (5 at the top of hom_malcev or identity_1_2 instead of 8 or 9), and P
+# is a node over the variables A lacks.  slots, None at the root, holds
+# the value at each assignment of basis indices to the node's variables.
+
+def _terms(parts, nodes, dim):
+    """The leaves and products of the node for the sum of w*m over parts,
+    which are in monomial order: one product per distinct first child."""
+    partners = {}
+    for w, m in parts:
+        if not isinstance(m[0], int):
+            partners.setdefault(m[0], []).append((w, m[1]))
+    return [(w, m) for w, m in parts if isinstance(m[0], int)], [
+        (*_node(partner, nodes, dim), _node([(1, first)], nodes, dim)[1])
+        for first, partner in partners.items()
+    ]
+
+
+def _node(parts, nodes, dim):
+    """(c, node) where c times node's value is the sum of w*m over parts.
+
+    c is the gcd of the weights, signed like the first, so a monomial is
+    its own node times its weight and equal sums up to a factor share one
+    node in ``nodes``.  A partner keeps the monomial order of its parts,
+    as A*B precedes A*B' exactly when B precedes B'."""
+    c = math.gcd(*(w for w, _ in parts)) * (1 if parts[0][0] > 0 else -1)
+    key = tuple((w // c, m) for w, m in parts)
+    if key == ((1, key[0][1]),) and isinstance(key[0][1][0], int):
+        return c, key[0][1]
+    if key not in nodes:
+        variables = sorted(v for v, _ in mono_leaves(key[0][1]))
+        slots = [None] * dim ** len(variables)
+        nodes[key] = (variables, *_terms(key, nodes, dim), slots)
+    return c, nodes[key]
+
+
+def _evaluate(node, table, twisted, dim, tup):
+    """The node's integer value where variable v takes basis index
+    tup[v]: read from its slot, or computed and stored there."""
+    if type(node[0]) is int:  # a leaf (v, p)
+        return twisted[node[1]][tup[node[0]]]
+    variables, leaves, products, slots = node
+    if slots is not None:
         slot = 0
         for v in variables:
-            slot = slot * spec.dim + tup[v]
-        partner = table[slot]
-        if partner is None:
-            partner = table[slot] = _partner_sum(spec, parts, twisted, tables, tup)
-        if first is None:  # leaf monomials: the partner sum is the value
-            value.update(partner)
-        else:
-            first_value = _eval_mono(spec, first, twisted, tables, tup)
-            _multiply_into(value, spec.product_table, first_value, partner)
+            slot = slot * dim + tup[v]
+        if slots[slot] is not None:
+            return slots[slot]
+    value = {}
+    for w, (v, p) in leaves:
+        for k, c in twisted[p][tup[v]].items():
+            value[k] = value.get(k, 0) + w * c
+    for w, partner, first in products:
+        u = _evaluate(first, table, twisted, dim, tup)
+        _multiply_into(value, table, w, u, _evaluate(partner, table, twisted, dim, tup))
+    if slots is not None:
+        value = slots[slot] = {k: c for k, c in value.items() if c}
     return value
-
-
-def _partner_sum(spec, parts, twisted, tables, tup):
-    """The sum of w*B over the (w, B) in parts, each product B multiplied
-    straight into the sum."""
-    acc = {}
-    for w, mono in parts:
-        if isinstance(mono[0], int):
-            for k, c in _eval_mono(spec, mono, twisted, tables, tup).items():
-                acc[k] = acc.get(k, 0) + w * c
-        else:
-            left = _eval_mono(spec, mono[0], twisted, tables, tup)
-            if w != 1:
-                left = {k: w * c for k, c in left.items()}
-            right = _eval_mono(spec, mono[1], twisted, tables, tup)
-            _multiply_into(acc, spec.product_table, left, right)
-    return {k: c for k, c in acc.items() if c}
 
 
 def yau_twist(spec):

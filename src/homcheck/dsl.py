@@ -28,8 +28,8 @@ the three operations on term tuples that the parser itself uses:
 product, twist and negation.  Parsing never rewrites products: the
 result is a flat list of (coefficient, raw term) pairs where each raw
 term is a pure product/twist tree over variables.  Expansion multiplies
-term counts, so a product that would expand to more than MAX_RAW_TERMS
-raw terms raises ParseError before it is built.
+term counts, so a product, sum, J or G that would expand to more than
+MAX_RAW_TERMS raw terms raises ParseError before it is built.
 """
 
 from __future__ import annotations
@@ -85,21 +85,27 @@ class RawExpr:
         return len(self.terms)
 
 
-# The most raw terms one product may expand to.  Nested macros or repeated
-# sums outgrow memory within a few dozen characters; the largest catalog
-# identity has 30 raw terms and G(G(w,x,y,z),...,G(z,w,x,y)) 59 049.
+# The most raw terms one product, sum, J or G may expand to.  Nested
+# macros or repeated sums outgrow memory within a few dozen characters;
+# the largest catalog identity has 30 raw terms and
+# G(G(w,x,y,z),...,G(z,w,x,y)) 59 049.
 MAX_RAW_TERMS = 65536
 
 
 # Term tuples are tuples of (coefficient, raw term) pairs.  The parser and
 # the macros build every expression from these three operations.
-def _prod(ts1, ts2):
-    size = len(ts1) * len(ts2)
+def _bound(size, what):
+    """Raise ParseError if ``what`` would expand to more than MAX_RAW_TERMS
+    raw terms."""
     if size > MAX_RAW_TERMS:
         raise ParseError(
-            f"expression too large: a product expands to {size} raw terms "
+            f"expression too large: {what} expands to {size} raw terms "
             f"(at most {MAX_RAW_TERMS})"
         )
+
+
+def _prod(ts1, ts2):
+    _bound(len(ts1) * len(ts2), "a product")
     return tuple((c1 * c2, prod(t1, t2)) for c1, t1 in ts1 for c2, t2 in ts2)
 
 
@@ -115,6 +121,7 @@ def _neg(ts):
 
 def _jacobian(t, u, v):
     """J(t,u,v) = t*u*a(v) + u*v*a(t) + v*t*a(u), multilinear in t,u,v."""
+    _bound(3 * len(t) * len(u) * len(v), "J")
     return (
         _prod(_prod(t, u), _twist(v))
         + _prod(_prod(u, v), _twist(t))
@@ -124,6 +131,7 @@ def _jacobian(t, u, v):
 
 def _g(w, x, y, z):
     """G(w,x,y,z) = J(w*x,a(y),a(z)) - a2(x)*J(w,y,z) - J(x,y,z)*a2(w)."""
+    _bound(9 * len(w) * len(x) * len(y) * len(z), "G")
     return (
         _jacobian(_prod(w, x), _twist(y), _twist(z))
         + _neg(_prod(_twist(x, 2), _jacobian(w, y, z)))
@@ -242,7 +250,9 @@ class _Parser:
         terms = list(self.term())
         while self.peek()[0] in ("+", "-"):
             sign = 1 if self.next()[0] == "+" else -1
-            terms.extend((sign * c, t) for c, t in self.term())
+            term = self.term()
+            _bound(len(terms) + len(term), "a sum")
+            terms.extend((sign * c, t) for c, t in term)
         return tuple(terms)
 
     def rat(self):

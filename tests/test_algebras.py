@@ -172,6 +172,38 @@ def test_load_reports_non_multiplicative_pair():
     assert "(1, 2)" in str(exc.value)
 
 
+def test_integer_multiplicativity_check_matches_fraction_reference():
+    # is_multiplicative compares dt*a(e_i*e_j) with a(e_i)*a(e_j) in the
+    # integer form; a Fraction check built from apply_twist and multiply
+    # finds the same first failing pair, on twists with denominators
+    rng = random.Random(3)
+    specs = [_random_spec(rng, multiplicative=False) for _ in range(80)]
+    # e2*e3 = e1 and a = diag(1/2, 1, 1) first fail on the last pair
+    half = tuple(
+        tuple(Fraction(1, 2) if i == j == 0 else Fraction(i == j) for j in range(3))
+        for i in range(3)
+    )
+    specs.append(AlgebraSpec(3, ("e1", "e2", "e3"), {(1, 2): {0: Fraction(1)}}, half))
+    verdicts = set()
+    for spec in specs:
+        if all(c.denominator == 1 for row in spec.twist for c in row):
+            continue
+        e = [spec.basis_element(i) for i in range(spec.dim)]
+        want = next(
+            (
+                (i + 1, j + 1)
+                for i in range(spec.dim)
+                for j in range(i + 1, spec.dim)
+                if apply_twist(spec, multiply(spec, e[i], e[j]))
+                != multiply(spec, apply_twist(spec, e[i]), apply_twist(spec, e[j]))
+            ),
+            None,
+        )
+        assert spec.is_multiplicative() == want
+        verdicts.add(want)
+    assert {None, (1, 2), (2, 3)} <= verdicts
+
+
 def test_load_missing_file():
     with pytest.raises(FileNotFoundError):
         load_algebra_file("/nonexistent/algebra.json")
@@ -421,6 +453,9 @@ def test_symmetry_reduced_sweep_matches_reference_sweep():
     idents.append(partner_vanishes)
     # top monomials that are leaves, or products of two leaves
     idents.extend(identity_from_dsl(text) for text in ("a(x) - x", "a(x)*y + x*a(y)"))
+    # the two parts of w's partner share their first child x; and a
+    # partner that is one part with weight 4 once normalized
+    idents.extend(identity_from_dsl(text) for text in SHARED_FIRST_CHILD_CASES)
     # declared variables the identity does not contain: v (and w)
     unused = [identity_from_dsl(text) for text in UNUSED_VARIABLE_CASES]
     specs = [_random_spec(rng, multiplicative=False) for _ in range(12)]
@@ -443,6 +478,11 @@ def test_symmetry_reduced_sweep_matches_reference_sweep():
 
 VANISHING_PARTNER_CASE = "w*(x*(y*z)) - w*(y*(x*z)) + (w*x)*(y*z)"
 
+SHARED_FIRST_CHILD_CASES = (
+    "w*(x*(y*z)) + 2*w*(x*(a(y)*a(z)))",
+    "3*w*(x*y) - w*(y*x)",
+)
+
 UNUSED_VARIABLE_CASES = (
     "vars v,x,y,z; J(x,y,z)",
     "vars v,w,x,y,z; J(x,y,x*z) - J(x,y,z)*x",
@@ -462,10 +502,36 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _count_root_work(monkeypatch):
+    """Count the sweep's root evaluations (outermost ``_evaluate`` calls)
+    and the products the root computes itself (``_multiply_into`` calls
+    made directly by an outermost ``_evaluate``)."""
+    counts = {"roots": 0, "top products": 0}
+    depth = 0
+    evaluate, multiply_into = algebras._evaluate, algebras._multiply_into
+
+    def counted_evaluate(*args):
+        nonlocal depth
+        counts["roots"] += depth == 0
+        depth += 1
+        try:
+            return evaluate(*args)
+        finally:
+            depth -= 1
+
+    def counted_multiply_into(*args):
+        counts["top products"] += depth == 1
+        return multiply_into(*args)
+
+    monkeypatch.setattr(algebras, "_evaluate", counted_evaluate)
+    monkeypatch.setattr(algebras, "_multiply_into", counted_multiply_into)
+    return counts
+
+
 def test_sweep_visits_one_tuple_per_orbit(monkeypatch):
-    # the sweep evaluates the identity once per tuple it visits
+    # the sweep evaluates the identity's root node once per tuple it visits
     specs = {name: bundled(name) for name in ("m7", "cross3", "abelian4")}
-    calls = _count_calls(monkeypatch, "_residual_at")
+    counts = _count_root_work(monkeypatch)
     for spec, name, count in (
         ("m7", "hom_malcev", 1372),
         ("m7", "identity_1_2", 441),
@@ -478,43 +544,24 @@ def test_sweep_visits_one_tuple_per_orbit(monkeypatch):
         ("cross3", UNUSED_VARIABLE_CASES[0], 1),
         ("m7", UNUSED_VARIABLE_CASES[1], 1372),
     ):
-        calls[0] = 0
+        counts["roots"] = 0
         ident = catalog(name) if name in CATALOG_NAMES else identity_from_dsl(name)
         assert check_identity_concrete(specs[spec], ident) is None
-        assert calls[0] == count, (spec, name)
+        assert counts["roots"] == count, (spec, name)
 
 
 def test_sweep_does_one_product_per_first_child(monkeypatch):
-    # at each visited tuple, one fused product per distinct first child
-    # of the top monomials: 8 -> 5 for hom_malcev, 9 -> 5 for identity_1_2
+    # at each visited tuple, the root does one product per distinct first
+    # child of the top monomials: 8 -> 5 for hom_malcev, 9 -> 5 for
+    # identity_1_2
     spec = bundled("m7")
-    top, nested = 0, 0
-    multiply_into = algebras._multiply_into
-
-    def counted(*args):
-        nonlocal top
-        top += not nested
-        return multiply_into(*args)
-
-    def not_top(fn):
-        def wrapper(*args):
-            nonlocal nested
-            nested += 1
-            try:
-                return fn(*args)
-            finally:
-                nested -= 1
-        return wrapper
-
-    monkeypatch.setattr(algebras, "_multiply_into", counted)
-    monkeypatch.setattr(algebras, "multiply", not_top(multiply))
-    monkeypatch.setattr(algebras, "_partner_sum", not_top(algebras._partner_sum))
+    counts = _count_root_work(monkeypatch)
     for name, tuples in (("hom_malcev", 1372), ("identity_1_2", 441)):
-        top = 0
+        counts["top products"] = 0
         firsts = {mono[0] for mono in polarize(catalog(name)).poly.coeffs}
         assert len(firsts) == 5
         assert check_identity_concrete(spec, catalog(name)) is None
-        assert top == tuples * len(firsts), name
+        assert counts["top products"] == tuples * len(firsts), name
 
 
 def _nodes_below_top(mono):

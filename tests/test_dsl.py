@@ -58,14 +58,31 @@ def test_parse_g_macro():
 NESTED_G = "G(G(w,x,y,z),G(x,y,z,w),G(y,z,w,x),G(z,w,x,y))"
 
 
-def test_parse_bounds_product_expansion():
-    # each product may expand to at most 65536 raw terms; the check comes
-    # before the product is built, so oversized input fails fast
+def test_parse_bounds_product_expansion(monkeypatch):
+    # each product, sum, J and G may expand to at most 65536 raw terms;
+    # the check comes before the expansion is built, so oversized input
+    # fails fast
     assert dsl.MAX_RAW_TERMS == 65536
     assert len(parse_expr(NESTED_G)) == 59049
-    for text in ("*".join(["(w+x)"] * 17), f"G({NESTED_G},{NESTED_G},y,z)"):
+    for text in (
+        "*".join(["(w+x)"] * 17),
+        f"J({NESTED_G},y,z)",
+        f"G({NESTED_G},x,y,z)",
+    ):
         with pytest.raises(ParseError, match="expression too large"):
             parse_expr(text)
+    # at a bound of 12, each of these is bounded by its own check: J
+    # builds 3*|t|*|u|*|v| raw terms, G 9*|w|*|x|*|y|*|z|, a sum the sum
+    # of its terms' counts
+    monkeypatch.setattr(dsl, "MAX_RAW_TERMS", 12)
+    for fits, size, too_large in (
+        ("J(w+x,y+z,v)", 12, "J(w+x,y+z,v+w)"),
+        ("G(w,x,y,z)", 9, "G(w+x,x,y,z)"),
+        (" + ".join(["w"] * 12), 12, " - ".join(["w"] * 13)),
+    ):
+        assert len(parse_expr(fits)) == size
+        with pytest.raises(ParseError, match="expression too large"):
+            parse_expr(too_large)
 
 
 def test_parse_twist_of_product():
