@@ -41,7 +41,8 @@ from functools import cached_property
 from importlib import resources
 
 from .identities import polarize, swap_blocks
-from .normalform import mono_leaves
+# elements are added like polynomials: both are sparse dicts
+from .normalform import linear_combination as element_add, mono_leaves
 
 BUNDLED = ("cross3", "cross3_rot", "m7", "m7_auto", "abelian4")
 
@@ -253,14 +254,6 @@ def multiply(spec, u, v):
 
 def apply_twist(spec, u):
     return element_add((c, spec.twist_cols[j]) for j, c in u.items())
-
-
-def element_add(parts):
-    out = {}
-    for coeff, u in parts:
-        for k, c in u.items():
-            out[k] = out.get(k, 0) + coeff * c
-    return {k: c for k, c in out.items() if c}
 
 
 def eval_poly(spec, poly, values):

@@ -51,7 +51,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .identities import Identity, Substitution, polarize, substitute
+from .identities import Identity, Substitution, drop_unused, polarize, substitute
 from .normalform import MPoly, canon, mono_key, mono_leaves, poly_combine
 
 DEFAULT_MAX_ALPHA_POWER = 3
@@ -461,10 +461,12 @@ def derive(target, axioms, bounds=None):
     """End-to-end consequence check: polarize target and axioms as
     needed, enumerate instances, decide span membership.
 
-    ``axioms`` is a sequence of named Identities.  Axioms with more
-    variables than the (polarized) target contribute no instances.  The
-    instances of all axioms, in axiom order, form one lazy sequence, so
-    generation stops at the first instance that certifies the target.
+    ``axioms`` is a sequence of named Identities.  Once polarized, the
+    target and each axiom lose the variables they do not contain, so a
+    freely vanishing axiom contributes no instances, nor does an axiom
+    with more variables than the target.  The instances of all axioms,
+    in axiom order, form one lazy sequence, so generation stops at the
+    first instance that certifies the target.
     When every remaining axiom is graded, each enumerates only the picks
     that land in a component of the polarized target; otherwise all
     instances up to K are enumerated.  Either way the result is the same.
@@ -476,10 +478,10 @@ def derive(target, axioms, bounds=None):
     if target.degrees is None:
         raise ValueError("target must be multihomogeneous")
     if not target.is_multilinear:
-        target = polarize(target)
+        target = drop_unused(polarize(target))
     used, skipped = [], []
     for axiom in axioms:
-        ax = axiom if axiom.is_multilinear else polarize(axiom)
+        ax = axiom if axiom.is_multilinear else drop_unused(polarize(axiom))
         if len(ax.vars) > len(target.vars):
             skipped.append(ax.name or "axiom")
         else:

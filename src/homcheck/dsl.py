@@ -394,12 +394,6 @@ def format_expr(obj, names=None):
     """
     if isinstance(obj, RawExpr):
         return _join_terms([(c, _fmt_raw_term(t, obj.vars)) for c, t in obj.terms])
-    from .normalform import mono_key
-
     if names is None:
         raise ValueError("variable names required to format an MPoly")
-    pairs = [
-        (c, format_monomial(m, names))
-        for m, c in sorted(obj.coeffs.items(), key=lambda kv: mono_key(kv[0]))
-    ]
-    return _join_terms(pairs)
+    return _join_terms([(c, format_monomial(m, names)) for m, c in obj.sorted_terms()])

@@ -11,12 +11,13 @@ orientation as LHS - RHS.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .dsl import format_monomial, parse_expr
+from .dsl import MAX_RAW_TERMS, format_monomial, parse_expr
 from .normalform import (
     canon_sum,
-    mono_leaves,
+    map_leaves,
     multidegree,
     normalize,
     poly_strip_twist,
@@ -67,12 +68,6 @@ class Substitution:
         }
 
 
-def _map_leaves(mono, images):
-    if isinstance(mono[0], int):
-        return shift_power(images[mono[0]], mono[1])
-    return (_map_leaves(mono[0], images), _map_leaves(mono[1], images))
-
-
 def substitute(ident, sub):
     """Apply a monomial substitution and renormalize.
 
@@ -85,10 +80,11 @@ def substitute(ident, sub):
             f"substitution maps {len(sub.images)} variables, "
             f"identity has {len(ident.vars)}"
         )
+    images = sub.images
     return Identity(
         sub.target_vars,
         canon_sum(
-            (coeff, _map_leaves(mono, sub.images))
+            (coeff, map_leaves(mono, lambda v, p: shift_power(images[v], p)))
             for mono, coeff in ident.poly.coeffs.items()
         ),
     )
@@ -151,8 +147,13 @@ def polarize(ident):
     name#1..name#d, keeping the component multilinear in all of them
     (equivalently: sum over all bijections between the d leaf
     occurrences and the fresh variables).  Fresh variables are ordered
-    after all surviving original variables.  Re-identifying the fresh
-    variables recovers d! times the original polynomial.
+    after all surviving original variables; a declared variable the
+    polynomial lacks survives.  Re-identifying the fresh variables
+    recovers d! times the original polynomial.
+
+    The result has up to len(poly) * prod(d!) terms; an identity for
+    which that exceeds MAX_RAW_TERMS raises ValueError before anything
+    is built.
     """
     degs = ident.degrees
     if degs is None:
@@ -160,6 +161,12 @@ def polarize(ident):
     repeated = [i for i, d in enumerate(degs) if d > 1]
     if not repeated:
         return ident
+    size = len(ident.poly) * math.prod(math.factorial(degs[i]) for i in repeated)
+    if size > MAX_RAW_TERMS:
+        raise ValueError(
+            f"identity too large to polarize: {size} terms "
+            f"(at most {MAX_RAW_TERMS})"
+        )
     new_vars = [v for i, v in enumerate(ident.vars) if degs[i] <= 1]
     remap = {}
     for i, v in enumerate(ident.vars):
@@ -172,33 +179,36 @@ def polarize(ident):
 
     def relabeled_terms():
         for mono, coeff in ident.poly.coeffs.items():
-            # occurrence slots of each repeated variable, left to right
-            slots = {i: [] for i in repeated}
-            for pos, (v, _) in enumerate(mono_leaves(mono)):
-                if v in repeated:
-                    slots[v].append(pos)
             for perms in itertools.product(
                 *(itertools.permutations(fresh[i]) for i in repeated)
             ):
-                assign = {}
-                for i, perm in zip(repeated, perms):
-                    for pos, new_idx in zip(slots[i], perm):
-                        assign[pos] = new_idx
-                yield coeff, _relabel(mono, remap, assign, itertools.count())
+                # the k-th occurrence of a repeated variable, left to
+                # right, becomes the k-th fresh variable of its perm
+                occurrences = {i: iter(perm) for i, perm in zip(repeated, perms)}
+                yield coeff, map_leaves(
+                    mono,
+                    lambda v, p: (
+                        next(occurrences[v]) if v in occurrences else remap[v], p
+                    ),
+                )
 
     return Identity(tuple(new_vars), canon_sum(relabeled_terms()), ident.name)
 
 
-def _relabel(mono, remap, assign, counter):
-    if isinstance(mono[0], int):
-        pos = next(counter)
-        v = assign.get(pos)
-        if v is None:
-            v = remap[mono[0]]
-        return (v, mono[1])
-    return (
-        _relabel(mono[0], remap, assign, counter),
-        _relabel(mono[1], remap, assign, counter),
+def drop_unused(ident):
+    """The identity over only the variables its polynomial contains, in
+    their declared order; the zero identity keeps none."""
+    kept = [i for i, d in enumerate(ident.degrees) if d]
+    if len(kept) == len(ident.vars):
+        return ident
+    index = {v: k for k, v in enumerate(kept)}
+    return Identity(
+        tuple(ident.vars[i] for i in kept),
+        canon_sum(
+            (coeff, map_leaves(mono, lambda v, p: (index[v], p)))
+            for mono, coeff in ident.poly.coeffs.items()
+        ),
+        ident.name,
     )
 
 

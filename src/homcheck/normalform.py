@@ -96,6 +96,15 @@ def canon_sum(terms):
     return MPoly(acc)
 
 
+def map_leaves(mono, fn):
+    """The product tree of ``mono`` with every leaf (v, p) replaced by
+    fn(v, p), the leaves visited left to right.  The tree is canonical
+    only when fn keeps it so; ``canon`` restores that."""
+    if isinstance(mono[0], int):
+        return fn(*mono)
+    return (map_leaves(mono[0], fn), map_leaves(mono[1], fn))
+
+
 def shift_power(mono, k):
     """Apply the twisting map k times: add k to every leaf power.
 
@@ -104,9 +113,7 @@ def shift_power(mono, k):
     """
     if k == 0:
         return mono
-    if isinstance(mono[0], int):
-        return (mono[0], mono[1] + k)
-    return (shift_power(mono[0], k), shift_power(mono[1], k))
+    return map_leaves(mono, lambda v, p: (v, p + k))
 
 
 class MPoly:
@@ -177,15 +184,19 @@ def normalize(expr):
     return canon_sum((coeff, _push_twists(term, 0)) for coeff, term in expr.terms)
 
 
+def linear_combination(parts):
+    """Sum of coeff * vector over (coeff, vector) pairs, each vector a
+    sparse dict key -> coefficient; zero entries are dropped."""
+    acc = {}
+    for coeff, vec in parts:
+        for k, c in vec.items():
+            acc[k] = acc.get(k, 0) + coeff * c
+    return {k: c for k, c in acc.items() if c}
+
+
 def poly_combine(parts):
     """Exact rational linear combination of MPolys."""
-    acc = {}
-    for coeff, poly in parts:
-        if coeff == 0:
-            continue
-        for mono, c in poly.coeffs.items():
-            acc[mono] = acc.get(mono, 0) + coeff * c
-    return MPoly(acc)
+    return MPoly(linear_combination((coeff, poly.coeffs) for coeff, poly in parts))
 
 
 def mono_degrees(mono, nvars):
@@ -210,10 +221,7 @@ def multidegree(poly, nvars):
 
 def poly_strip_twist(poly):
     """Set every leaf twist power to 0 and renormalize (alpha = Id)."""
-    return canon_sum((coeff, _strip(mono)) for mono, coeff in poly.coeffs.items())
-
-
-def _strip(mono):
-    if isinstance(mono[0], int):
-        return (mono[0], 0)
-    return (_strip(mono[0]), _strip(mono[1]))
+    return canon_sum(
+        (coeff, map_leaves(mono, lambda v, p: (v, 0)))
+        for mono, coeff in poly.coeffs.items()
+    )

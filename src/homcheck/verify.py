@@ -10,7 +10,6 @@ algebras.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .algebras import check_identity_concrete, load_algebra_file
@@ -22,9 +21,9 @@ from .identities import (
     identity_from_dsl,
     rename,
     substitute,
+    swap_blocks,
 )
-from .normalform import normalize, poly_combine
-from .dsl import parse_expr
+from .normalform import poly_combine
 
 
 @dataclass
@@ -59,15 +58,6 @@ class Report:
         return {"passed": self.passed, "steps": [s.to_obj() for s in self.steps]}
 
 
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def _derive_step(number, title, target, axioms, bounds):
     res, _ = derive(target, axioms, bounds)
     if isinstance(res, Certificate):
@@ -95,17 +85,9 @@ def verify_paper(bounds=None):
     hom_jacobi = catalog("hom_jacobi")
     identity_1_2 = catalog("identity_1_2")
 
-    # 1: the Hom-Jacobian is skew-symmetric in its three variables.
-    ok = True
-    for perm in itertools.permutations(range(3)):
-        sub = Substitution(tuple((p, 0) for p in perm), hom_jacobi.vars)
-        diff = poly_combine(
-            [
-                (1, substitute(hom_jacobi, sub).poly),
-                (-_perm_sign(perm), hom_jacobi.poly),
-            ]
-        )
-        ok = ok and diff.is_zero
+    # 1: the Hom-Jacobian is skew-symmetric in its three variables: one
+    # antisymmetric swap block holding all three gives all 6 permutations.
+    ok = swap_blocks(hom_jacobi) == (((0, 1, 2), -1),)
     steps.append(
         Step(1, "Hom-Jacobian skew-symmetry (6 permutations)", ok,
              "normal-form check, no axioms")
@@ -121,11 +103,10 @@ def verify_paper(bounds=None):
         )
     )
 
-    # 3: skew-symmetry of G: two free checks plus one derivation.
-    free_ok = (
-        normalize(parse_expr("vars w,x,y,z; G(w,x,y,z) + G(x,w,y,z)")).is_zero
-        and normalize(parse_expr("vars w,x,y,z; G(w,x,y,z) + G(w,x,z,y)")).is_zero
-    )
+    # 3: skew-symmetry of G: two free checks (G is antisymmetric in
+    # {w,x} and in {y,z}) plus one derivation.
+    g = identity_from_dsl("vars w,x,y,z; G(w,x,y,z)")
+    free_ok = swap_blocks(g) == (((0, 1), -1), ((2, 3), -1))
     g_rep = identity_from_dsl("vars y,x,z; G(y,x,y,z)", "g_repeated")
     step3 = _derive_step(
         3,

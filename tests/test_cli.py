@@ -122,6 +122,54 @@ def test_derive_not_in_span_json_fields(capsys):
     assert set(json.loads(out)) == {"status", "target", "certificate"}
 
 
+IDENTITY_1_2 = (
+    "J(w*x,a(y),a(z)) - J(w,y,z)*a2(x) - a2(w)*J(x,y,z) + 2*J(y*z,a(w),a(x))"
+)
+
+
+def _derive_json(capsys, target, *axioms):
+    argv = ["derive", "--target", target, "--K", "0", "--format", "json"]
+    for axiom in axioms:
+        argv += ["--axiom", axiom]
+    return run(capsys, *argv)
+
+
+def test_derive_drops_unused_variables(capsys):
+    want = _derive_json(capsys, f"vars w,x,y,z; {IDENTITY_1_2}", "hom_malcev")
+    assert want[0] == 0 and want[2] == ""
+    # a declared variable the target lacks does not block the certificate
+    assert _derive_json(capsys, f"vars v,w,x,y,z; {IDENTITY_1_2}", "hom_malcev") == want
+    # a freely vanishing axiom contributes no instance
+    for axiom in ("lemma_2_4_ii", "g_def"):
+        assert _derive_json(capsys, "identity_1_2", axiom, "hom_malcev") == want
+    code, out, err = _derive_json(capsys, "identity_1_2", "lemma_2_4_ii")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["axioms_skipped"] == []
+    # an axiom declaring a variable it lacks acts as the axiom without it
+    jacobi = _derive_json(capsys, "identity_1_2", "hom_jacobi")
+    assert jacobi[0] == 1
+    assert _derive_json(capsys, "identity_1_2", "vars x,y,z,w; J(x,y,z)") == jacobi
+
+
+DEGREE_8 = "(((((((a(x)*x)*a2(x))*x)*a(x))*x)*a2(x))*x)"
+DEGREE_9 = f"({DEGREE_8}*a(x))"
+
+
+def test_polarization_bound_is_usage(capsys):
+    for argv in (
+        ["polarize", DEGREE_9],
+        ["derive", "--target", DEGREE_9, "--axiom", "hom_malcev"],
+        ["check", "m7", DEGREE_9],
+    ):
+        assert run(capsys, *argv) == (
+            2, "", "error: identity too large to polarize: 362880 terms "
+                   "(at most 65536)\n"
+        ), argv
+    code, out, _ = run(capsys, "polarize", DEGREE_8)
+    assert code == 0
+    assert out.startswith("vars: " + ", ".join(f"x#{i}" for i in range(1, 9)) + "\n")
+
+
 def test_derive_output_is_stable(capsys):
     argv = ["derive", "--target", "eq_2_2", "--axiom", "hom_malcev", "--K", "1"]
     first = run(capsys, *argv)

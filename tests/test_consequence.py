@@ -403,6 +403,22 @@ def test_ungraded_axiom_enumerates_everything(monkeypatch):
     assert result.k_saturated is None
 
 
+def test_derive_drops_variables_the_polynomials_lack():
+    i12 = catalog("identity_1_2")
+    padded = Identity(("v",) + i12.vars, identity_from_dsl(
+        "vars v,w,x,y,z; J(w*x,a(y),a(z)) - J(w,y,z)*a2(x) - a2(w)*J(x,y,z)"
+        " + 2*J(y*z,a(w),a(x))"
+    ).poly, "padded")
+    assert padded.degrees == (0, 1, 1, 1, 1)
+    want, _ = derive(i12, [catalog("hom_malcev")], K0)
+    result, target = derive(padded, [catalog("hom_malcev")], K0)
+    assert target.vars == i12.vars and target.poly == i12.poly
+    assert result.to_obj() == want.to_obj()
+    # a freely vanishing axiom keeps no variable and builds no instance
+    result, _ = derive(i12, [catalog("lemma_2_4_ii"), catalog("g_def")], K0)
+    assert result.residual == i12.poly and result.axioms_skipped == ()
+
+
 def test_skipped_axioms_are_named():
     result, _ = derive(catalog("hom_jacobi"), [catalog("hom_jacobi"), catalog("hom_malcev")], K0)
     assert isinstance(result, Certificate)

@@ -5,11 +5,12 @@ import random
 import pytest
 
 from homcheck.algebras import check_identity_concrete, load_algebra_file
-from homcheck.dsl import RawExpr, parse_expr
+from homcheck.dsl import MAX_RAW_TERMS, RawExpr, parse_expr
 from homcheck.identities import (
     Identity,
     Substitution,
     catalog,
+    drop_unused,
     identity_from_dsl,
     polarize,
     rename,
@@ -130,6 +131,51 @@ def test_polarize_rejects_non_homogeneous():
     bad = identity_from_dsl("vars x,y; x*y + x*a(x)")
     with pytest.raises(ValueError):
         polarize(bad)
+
+
+def test_polarize_keeps_declared_variables():
+    # check names every declared variable in a counterexample
+    ident = identity_from_dsl("vars x,y,z,v; J(x,y,z)*x")
+    pol = polarize(ident)
+    assert pol.vars == ("y", "z", "v", "x#1", "x#2")
+    assert pol.degrees == (1, 1, 0, 1, 1)
+    dropped = drop_unused(pol)
+    assert dropped.vars == ("y", "z", "x#1", "x#2")
+    assert dropped.is_multilinear
+    assert dropped.poly == polarize(identity_from_dsl("J(x,y,z)*x")).poly
+
+
+def test_drop_unused():
+    i12 = catalog("identity_1_2")
+    assert drop_unused(i12) is i12
+    # a vanishing identity keeps no variable
+    zero = drop_unused(catalog("lemma_2_4_ii"))
+    assert zero.vars == () and zero.poly.is_zero and zero.is_multilinear
+    # the kept variables are renumbered in their declared order
+    ident = drop_unused(identity_from_dsl("vars v,y,u,x; a(x)*y"))
+    assert ident.vars == ("y", "x")
+    assert ident.poly == identity_from_dsl("vars y,x; a(x)*y").poly
+
+
+def test_polarize_refuses_oversized_results_before_building(monkeypatch):
+    # the bound is len(poly) * prod(d!): 2 terms of degrees (3, 1) make 12
+    two = identity_from_dsl("vars x,y; (a(x)*x)*(a2(x)*y) + (a(x)*y)*(a2(x)*x)")
+    monkeypatch.setattr("homcheck.identities.MAX_RAW_TERMS", 12)
+    assert len(polarize(two).poly) == 12
+    monkeypatch.setattr("homcheck.identities.MAX_RAW_TERMS", 11)
+    with pytest.raises(ValueError, match="12 terms"):
+        polarize(two)
+    monkeypatch.undo()
+    # degree 9 polarizes to 9! = 362880 terms; degree 8 (40320) is allowed
+    assert MAX_RAW_TERMS >= math.factorial(8)
+    deg9 = identity_from_dsl("((((((((a(x)*x)*a2(x))*x)*a(x))*x)*a2(x))*x)*a(x))")
+    assert deg9.degrees == (9,)
+    monkeypatch.setattr(
+        "homcheck.identities.canon_sum",
+        lambda terms: pytest.fail("polarize built terms"),
+    )
+    with pytest.raises(ValueError, match="362880 terms"):
+        polarize(deg9)
 
 
 def _reidentify(pol, original):

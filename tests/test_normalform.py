@@ -6,10 +6,13 @@ from homcheck import normalform
 from homcheck.dsl import format_expr, parse_expr
 from homcheck.normalform import (
     compare_monomials,
+    linear_combination,
+    map_leaves,
     mono_key,
     multidegree,
     normalize,
     poly_combine,
+    shift_power,
 )
 from homcheck.identities import catalog
 
@@ -83,6 +86,19 @@ def test_poly_combine():
     j1, _ = nf("vars x,y,z; J(x,y,z)")
     j2, _ = nf("vars x,y,z; J(y,x,z)")
     assert poly_combine([(1, j1), (1, j2)]).is_zero
+    # the loop behind it, on plain sparse dicts
+    assert linear_combination([(2, {0: 1, 1: 3}), (-1, {0: 2}), (0, {4: 5})]) == {1: 6}
+
+
+def test_map_leaves_visits_left_to_right():
+    # ((x*a(y))*z): leaves x, a(y), z; a stateful fn sees them in order
+    mono = (((0, 0), (1, 1)), (2, 0))
+    seen = []
+    out = map_leaves(mono, lambda v, p: seen.append((v, p)) or (len(seen), p))
+    assert seen == [(0, 0), (1, 1), (2, 0)]
+    assert out == (((1, 0), (2, 1)), (3, 0))
+    assert shift_power(mono, 2) == (((0, 2), (1, 3)), (2, 2))
+    assert shift_power((1, 0), 1) == (1, 1)
 
 
 def test_multidegree():
