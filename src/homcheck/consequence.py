@@ -15,27 +15,33 @@ Instances are built lazily.  They come in a fixed order: by total twist
 weight, ties in enumeration order (set partitions by restricted-growth
 string, block assignments in permutation order, monomial choices in
 monomial order), deduplicated up to overall scaling keeping the first
-occurrence.  A first pass sorts the picks (one monomial per axiom
-variable) into weight levels without substituting anything; each level
-is then substituted and deduplicated only when elimination reads that
-far.  Elimination pivots on the first nonzero entry in monomial order and
-stops at the first instance that empties the residual, so a certified
-derivation builds only the instances up to its last certificate row,
-whatever K is.
+occurrence.  The monomials of a block are built canonical: each split of
+its variables puts the part holding the first variable on the left, and
+since the two factors share no variable, ordering them is their
+canonical form, so no tree is normalized or met twice.  A first pass
+sorts the picks (one monomial per axiom variable) into weight levels
+without substituting anything; each level is then substituted and
+deduplicated only when elimination reads that far.  Elimination pivots
+on the first nonzero entry in monomial order and stops at the first
+instance that empties the residual, so a certified derivation builds
+only the instances up to its last certificate row, whatever K is.
 
 Grading.  The twisting map pushes through products, so the number
-``depth + twist power`` of each leaf survives normalization.  Most axioms
-are graded: every occurrence of axiom variable u has the same number c_u
-(3 for hom_malcev and the four-variable lemma identities, 2 for
-hom_jacobi; malcev is not graded).  Substituting a monomial m for u gives
-each target variable v of m the number c_u + grade_m(v), so every
+``depth + twist power`` of each leaf survives normalization.  Most
+axioms are graded: every occurrence of axiom variable u has the same
+number c_u (3 for hom_malcev and the four-variable lemma identities, 2
+for hom_jacobi; malcev is not graded).  Substituting a monomial m for u
+gives each target variable v of m the number c_u + grade_m(v), so every
 instance of a graded axiom is homogeneous, and the span splits into one
 summand per grade vector.  The target's components are the grade vectors
 of its monomials; only instances in a component can reduce the target,
 and the residual modulo the span is unique.  So when every axiom is
-graded, ``derive`` enumerates only the picks that land in a component:
-residuals, certificates and verdicts are those of the full enumeration,
-and a NotInSpan result costs as many substitutions as there are such
+graded, ``derive`` enumerates only the picks that land in a component.
+For each block assignment that is one lookup: every component gives one
+row of the grades each axiom variable's monomial must give its block,
+and a pick is kept when its row of grades is one of them.  Residuals,
+certificates and verdicts are those of the full enumeration, and a
+NotInSpan result costs as many substitutions as there are such
 picks.  If any axiom is ungraded, every axiom's instances are enumerated
 (an ungraded instance can mix a component with another grade, which a
 graded instance outside the components may cancel).  Identical inputs
@@ -52,7 +58,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .identities import Identity, Substitution, drop_unused, polarize, substitute
-from .normalform import MPoly, canon, mono_key, mono_leaves, poly_combine
+from .normalform import MPoly, mono_key, mono_leaves, poly_combine
 
 DEFAULT_MAX_ALPHA_POWER = 3
 
@@ -77,9 +83,6 @@ class Instance:
     substitution: Substitution
     identity: Identity
 
-    def weight(self):
-        return _weight(self.substitution.images)
-
 
 def _weight(images):
     # total twist power on the leaves of the substituted monomials
@@ -92,7 +95,8 @@ class NotInSpan:
 
     ``derive`` also reports the K from which a larger bound enumerates
     the same instances (None when some axiom is ungraded) and the names
-    of the axioms skipped for having more variables than the target.
+    of the axioms that contribute no instance: first those with more
+    variables than the target, then those that vanish freely.
     """
 
     residual: MPoly
@@ -140,32 +144,24 @@ def enumerate_monomials(var_indices, max_alpha_power):
         raise ValueError("empty variable subset")
     if max_alpha_power < 0:
         raise ValueError("max_alpha_power must be >= 0")
-    out = set()
-    for powers in itertools.product(range(max_alpha_power + 1), repeat=len(var_indices)):
-        leaves = tuple((v, p) for v, p in zip(var_indices, powers))
-        for tree in _pairings(leaves):
-            res = canon(tree)
-            if res is not None:
-                out.add(res[1])
-    return sorted(out, key=mono_key)
+    return sorted(_monomials(var_indices, max_alpha_power), key=mono_key)
 
 
-def _pairings(leaves):
-    # All binary product trees over the given leaves (distinct variables),
-    # up to swapping factors: the first leaf is kept in the left factor.
-    if len(leaves) == 1:
-        yield leaves[0]
-        return
-    first, rest = leaves[0], leaves[1:]
-    n = len(rest)
-    for bits in itertools.product((0, 1), repeat=n):
-        right = tuple(l for l, b in zip(rest, bits) if b)
-        if not right:
-            continue
-        left = (first,) + tuple(l for l, b in zip(rest, bits) if not b)
-        for lt in _pairings(left):
-            for rt in _pairings(right):
-                yield (lt, rt)
+def _monomials(var_indices, k):
+    # Each canonical monomial once: a split keeps the first variable in
+    # the left factor, and two factors over disjoint variables never agree,
+    # so putting them in monomial order is the whole canonical form.
+    first, rest = var_indices[0], var_indices[1:]
+    if not rest:
+        return [(first, p) for p in range(k + 1)]
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(rest)):
+        right = tuple(itertools.compress(rest, bits))
+        if right:
+            left = (first,) + tuple(v for v in rest if v not in right)
+            for lt, rt in itertools.product(_monomials(left, k), _monomials(right, k)):
+                out.append((lt, rt) if mono_key(lt) < mono_key(rt) else (rt, lt))
+    return out
 
 
 def _set_partitions(items, blocks):
@@ -239,12 +235,9 @@ def axiom_grades(axiom):
     """The grade c_u of each axiom variable u, as a tuple, or None when
     some variable occurs with two different values of depth + twist
     power (or does not occur at all)."""
-    grades = {}
-    for mono in axiom.poly.coeffs:
-        for v, g in _leaf_grades(mono):
-            if grades.setdefault(v, g) != g:
-                return None
-    if len(grades) != len(axiom.vars):
+    pairs = {leaf for mono in axiom.poly.coeffs for leaf in _leaf_grades(mono)}
+    grades = dict(pairs)
+    if not len(pairs) == len(grades) == len(axiom.vars):
         return None
     return tuple(grades[u] for u in range(len(axiom.vars)))
 
@@ -255,12 +248,8 @@ def target_components(target):
     that misses a target variable forms no component, since every
     instance contains every target variable."""
     n = len(target.vars)
-    out = set()
-    for mono in target.poly.coeffs:
-        grades = dict(_leaf_grades(mono))
-        if len(grades) == n:
-            out.add(tuple(grades[v] for v in range(n)))
-    return out
+    rows = (dict(_leaf_grades(mono)) for mono in target.poly.coeffs)
+    return {tuple(g[v] for v in range(n)) for g in rows if len(g) == n}
 
 
 def generate_instances(axiom, target_vars, bounds=None, target=None):
@@ -312,25 +301,33 @@ def _instances(axiom, target_vars, max_alpha_power, grades, components):
         choices = [enumerate_monomials(block, max_alpha_power) for block in part]
         mono_weight = {m: _weight((m,)) for monos in choices for m in monos}
         if grades is not None:
-            mono_grades = {
-                m: dict(_leaf_grades(m)) for monos in choices for m in monos
+            # a monomial's grades on its block, in variable order (the
+            # order in which a block lists its variables)
+            mono_grade = {
+                m: tuple(g for _, g in sorted(_leaf_grades(m)))
+                for monos in choices for m in monos
             }
         for perm in itertools.permutations(range(len(part))):
             # axiom variable i receives a monomial over block perm[i]
             lists = [choices[p] for p in perm]
             if grades is not None:
-                # keep the monomials that meet some component on their
-                # own block, then the picks that meet one everywhere
+                # one grade row per component: the grades each axiom
+                # variable's monomial must give its block; a monomial
+                # stays if its column allows it, a pick if its row is wanted
+                wanted = {
+                    tuple(tuple(s[v] - c for v in part[p])
+                          for p, c in zip(perm, grades))
+                    for s in components
+                }
+                columns = [{row[i] for row in wanted} for i in range(len(perm))]
                 lists = [
-                    _meeting(monos, part[p], c, components, mono_grades)
-                    for monos, p, c in zip(lists, perm, grades)
+                    [m for m in monos if mono_grade[m] in column]
+                    for monos, column in zip(lists, columns)
                 ]
             for picks in itertools.product(*lists):
-                if grades is not None and _pick_grade(
-                    picks, grades, mono_grades, len(target_vars)
-                ) not in components:
-                    continue
-                levels.setdefault(sum(map(mono_weight.get, picks)), []).append(picks)
+                if grades is None or tuple(map(mono_grade.get, picks)) in wanted:
+                    level = sum(map(mono_weight.get, picks))
+                    levels.setdefault(level, []).append(picks)
     name = axiom.name or "axiom"
     seen = set()
     for weight in sorted(levels):
@@ -345,25 +342,6 @@ def _instances(axiom, target_vars, max_alpha_power, grades, components):
             if key not in seen:
                 seen.add(key)
                 yield Instance(name, axiom.vars, sub, identity)
-
-
-def _meeting(monos, block, grade, components, mono_grades):
-    # the monomials over ``block`` that, put in for a variable of grade
-    # ``grade``, give the block's variables the grades of some component
-    wanted = {tuple(s[v] - grade for v in block) for s in components}
-    return [
-        m for m in monos
-        if tuple(mono_grades[m][v] for v in block) in wanted
-    ]
-
-
-def _pick_grade(picks, grades, mono_grades, n):
-    # grade vector of the instance a pick gives
-    vec = [0] * n
-    for grade, m in zip(grades, picks):
-        for v, g in mono_grades[m].items():
-            vec[v] = grade + g
-    return tuple(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +442,10 @@ def derive(target, axioms, bounds=None):
     ``axioms`` is a sequence of named Identities.  Once polarized, the
     target and each axiom lose the variables they do not contain, so a
     freely vanishing axiom contributes no instances, nor does an axiom
-    with more variables than the target.  The instances of all axioms,
-    in axiom order, form one lazy sequence, so generation stops at the
-    first instance that certifies the target.
+    with more variables than the target; both are named in
+    ``axioms_skipped``.  The instances of all axioms, in axiom order,
+    form one lazy sequence, so generation stops at the first instance
+    that certifies the target.
     When every remaining axiom is graded, each enumerates only the picks
     that land in a component of the polarized target; otherwise all
     instances up to K are enumerated.  Either way the result is the same.
@@ -479,11 +458,13 @@ def derive(target, axioms, bounds=None):
         raise ValueError("target must be multihomogeneous")
     if not target.is_multilinear:
         target = drop_unused(polarize(target))
-    used, skipped = [], []
+    used, oversized, vanishing = [], [], []
     for axiom in axioms:
         ax = axiom if axiom.is_multilinear else drop_unused(polarize(axiom))
         if len(ax.vars) > len(target.vars):
-            skipped.append(ax.name or "axiom")
+            oversized.append(ax.name or "axiom")
+        elif ax.poly.is_zero:
+            vanishing.append(ax.name or "axiom")
         else:
             used.append(ax)
     grades = [axiom_grades(ax) for ax in used]
@@ -503,6 +484,7 @@ def derive(target, axioms, bounds=None):
                 for g in grades for c_u in g
             ])
         result = replace(
-            result, k_saturated=k_saturated, axioms_skipped=tuple(skipped)
+            result, k_saturated=k_saturated,
+            axioms_skipped=tuple(oversized + vanishing),
         )
     return result, target

@@ -58,6 +58,40 @@ def test_enumerate_three_variables_k0_against_bracketing_oracle():
     assert len(got) == 3
 
 
+def all_trees(leaves):
+    # every product tree over the leaves, the first leaf in the left factor
+    if len(leaves) == 1:
+        yield leaves[0]
+        return
+    first, rest = leaves[0], leaves[1:]
+    for bits in itertools.product((0, 1), repeat=len(rest)):
+        right = tuple(l for l, b in zip(rest, bits) if b)
+        if right:
+            left = (first,) + tuple(l for l, b in zip(rest, bits) if not b)
+            for lt in all_trees(left):
+                for rt in all_trees(right):
+                    yield (lt, rt)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_enumerate_matches_canonicalized_trees(k):
+    # oracle: every tree over every power assignment, canonicalized by
+    # canon, deduplicated and sorted
+    subsets = [
+        s for r in range(1, 5) for s in itertools.combinations(range(4), r)
+    ]
+    assert len(subsets) == 15
+    for subset in subsets:
+        oracle = set()
+        for powers in itertools.product(range(k + 1), repeat=len(subset)):
+            for tree in all_trees(tuple(zip(subset, powers))):
+                res = canon(tree)
+                if res is not None:
+                    oracle.add(res[1])
+        got = enumerate_monomials(subset, k)
+        assert got == sorted(oracle, key=mono_key), subset
+
+
 def test_enumerate_counts_scale_with_k():
     # one pairing shape set, (K+1)^2 power choices for two variables
     assert len(enumerate_monomials((0, 1), 2)) == 9
@@ -86,7 +120,7 @@ def test_generate_instances_properties():
     }
     assert len(keys) == len(insts)
     # weights are nondecreasing
-    weights = [inst.weight() for inst in insts]
+    weights = [consequence._weight(inst.substitution.images) for inst in insts]
     assert weights == sorted(weights)
 
 
@@ -241,7 +275,7 @@ def eager_instances(axiom, target_vars, k):
                 inst = Instance(axiom.name, axiom.vars, sub, substitute(axiom, sub))
                 if not inst.identity.poly.is_zero:
                     built.append(inst)
-    built.sort(key=Instance.weight)
+    built.sort(key=lambda inst: consequence._weight(inst.substitution.images))
     out, seen = [], set()
     for inst in built:
         poly = inst.identity.poly
@@ -370,6 +404,41 @@ def test_axiom_grades():
     assert consequence.axiom_grades(catalog("malcev")) is None
 
 
+PAPER_TARGETS = (
+    "vars y,x,z; G(y,x,y,z)", "eq_2_2", "eq_2_3", "eq_2_4", "eq_2_5",
+    "identity_1_2", "hom_malcev",
+)
+
+
+@pytest.mark.parametrize("axiom", ["hom_malcev", "identity_1_2", "hom_jacobi"])
+def test_grade_filter_keeps_exactly_the_instances_in_a_component(axiom):
+    # the graded stream is the full stream restricted to the instances
+    # whose grade vector is a component of the target, in the same order
+    axiom = polarize(catalog(axiom))
+    full, kept, seen = {}, 0, 0
+    for text in REFUTE_TARGETS + PAPER_TARGETS:
+        target = polarize(named(text))
+        if len(axiom.vars) > len(target.vars):
+            continue
+        components = consequence.target_components(target)
+        for k in range(3):
+            bounds = SearchBounds(k)
+            # picks and grades depend on variable positions, not names
+            key = (len(target.vars), k)
+            if key not in full:
+                full[key] = list(generate_instances(axiom, target.vars, bounds))
+            want = []
+            for inst in full[key]:
+                grade = consequence.target_components(inst.identity)
+                assert len(grade) == 1  # a graded axiom's instances are homogeneous
+                if grade <= components:
+                    want.append(inst.substitution.images)
+            got = generate_instances(axiom, target.vars, bounds, target)
+            assert [inst.substitution.images for inst in got] == want, (text, k)
+            kept, seen = kept + len(want), seen + len(full[key])
+    assert 0 < kept < seen  # the filter both keeps and drops instances
+
+
 def test_not_in_span_derive_substitutes_only_matching_picks(monkeypatch):
     calls = count_substitute(monkeypatch)
     target = named("J(w*x,a(y),a(z))")
@@ -416,7 +485,8 @@ def test_derive_drops_variables_the_polynomials_lack():
     assert result.to_obj() == want.to_obj()
     # a freely vanishing axiom keeps no variable and builds no instance
     result, _ = derive(i12, [catalog("lemma_2_4_ii"), catalog("g_def")], K0)
-    assert result.residual == i12.poly and result.axioms_skipped == ()
+    assert result.residual == i12.poly
+    assert result.axioms_skipped == ("lemma_2_4_ii", "g_def")
 
 
 def test_skipped_axioms_are_named():
@@ -426,6 +496,10 @@ def test_skipped_axioms_are_named():
                        [catalog("hom_malcev"), catalog("identity_1_2")], K0)
     assert result.axioms_skipped == ("hom_malcev", "identity_1_2")
     assert result.k_saturated == 0
+    # freely vanishing axioms come after the oversized ones
+    result, _ = derive(catalog("hom_jacobi"),
+                       [catalog("lemma_2_4_ii"), catalog("hom_malcev")], K0)
+    assert result.axioms_skipped == ("hom_malcev", "lemma_2_4_ii")
 
 
 def test_k_saturated_bounds_the_powers_that_matter(monkeypatch):
