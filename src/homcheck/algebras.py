@@ -264,9 +264,9 @@ def eval_poly(spec, poly, values):
         twisted.append([apply_twist(spec, u) for u in twisted[-1]])
 
     def value(mono):
-        if isinstance(mono[0], int):
-            return twisted[mono[1]][mono[0]]
-        return multiply(spec, value(mono[0]), value(mono[1]))
+        if mono[0] == 1:
+            return twisted[mono[2]][mono[1]]
+        return multiply(spec, value(mono[1]), value(mono[2]))
 
     return element_add((c, value(m)) for m, c in poly.coeffs.items())
 
@@ -346,12 +346,12 @@ def check_identity_concrete(spec, ident):
     absorbs that factor into an integer weight over one common
     denominator.
 
-    f is evaluated as one tree of nodes, each a leaf (v, p) or a weighted
+    f is evaluated as one tree of nodes, each a leaf (1, v, p) or a weighted
     sum over one variable set (see the comment above ``_terms``).  A node
     over variable set S is computed at most dim^|S| times, the root once
     per visited tuple.
     """
-    ident = ident if ident.is_multilinear else polarize(ident)
+    ident = polarize(ident)
     terms = ident.poly.sorted_terms()
     dp, dt, table, cols = spec.integer_form
     leaf_lists = [list(mono_leaves(mono)) for mono, _ in terms]
@@ -386,7 +386,7 @@ def check_identity_concrete(spec, ident):
     return None
 
 
-# A sweep node is a leaf (v, p) or a sum (variables, leaves, products,
+# A sweep node is a leaf (1, v, p) or a sum (variables, leaves, products,
 # slots): the sum of w*leaf over its (w, leaf) leaves and of w*(A*P) over
 # its (w, P, A) products.  By bilinearity, sum_m w_m*(A*B_m) = A*P with
 # P = sum_m w_m*B_m, so a sum has one product per distinct first child A
@@ -399,9 +399,9 @@ def _terms(parts, nodes, dim):
     which are in monomial order: one product per distinct first child."""
     partners = {}
     for w, m in parts:
-        if not isinstance(m[0], int):
-            partners.setdefault(m[0], []).append((w, m[1]))
-    return [(w, m) for w, m in parts if isinstance(m[0], int)], [
+        if m[0] != 1:
+            partners.setdefault(m[1], []).append((w, m[2]))
+    return [(w, m) for w, m in parts if m[0] == 1], [
         (*_node(partner, nodes, dim), _node([(1, first)], nodes, dim)[1])
         for first, partner in partners.items()
     ]
@@ -416,7 +416,7 @@ def _node(parts, nodes, dim):
     as A*B precedes A*B' exactly when B precedes B'."""
     c = math.gcd(*(w for w, _ in parts)) * (1 if parts[0][0] > 0 else -1)
     key = tuple((w // c, m) for w, m in parts)
-    if key == ((1, key[0][1]),) and isinstance(key[0][1][0], int):
+    if key == ((1, key[0][1]),) and key[0][1][0] == 1:
         return c, key[0][1]
     if key not in nodes:
         variables = sorted(v for v, _ in mono_leaves(key[0][1]))
@@ -428,8 +428,8 @@ def _node(parts, nodes, dim):
 def _evaluate(node, table, twisted, dim, tup):
     """The node's integer value where variable v takes basis index
     tup[v]: read from its slot, or computed and stored there."""
-    if type(node[0]) is int:  # a leaf (v, p)
-        return twisted[node[1]][tup[node[0]]]
+    if type(node[0]) is int:  # a leaf (1, v, p)
+        return twisted[node[2]][tup[node[1]]]
     variables, leaves, products, slots = node
     if slots is not None:
         slot = 0
@@ -438,7 +438,7 @@ def _evaluate(node, table, twisted, dim, tup):
         if slots[slot] is not None:
             return slots[slot]
     value = {}
-    for w, (v, p) in leaves:
+    for w, (_, v, p) in leaves:
         for k, c in twisted[p][tup[v]].items():
             value[k] = value.get(k, 0) + w * c
     for w, partner, first in products:

@@ -166,8 +166,14 @@ def cmd_twist(args):
     doc = dump_algebra(yau_twist(spec))
     text = json.dumps(doc, indent=1)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except FileNotFoundError:
+            raise  # main reports a missing directory
+        except OSError as exc:
+            print(f"cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            return EXIT_BAD_FILE
     else:
         print(text)
     return EXIT_OK

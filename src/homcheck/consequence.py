@@ -58,7 +58,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .identities import Identity, Substitution, drop_unused, polarize, substitute
-from .normalform import MPoly, mono_key, mono_leaves, poly_combine
+from .normalform import MPoly, mono_leaves, poly_combine
 
 DEFAULT_MAX_ALPHA_POWER = 3
 
@@ -144,7 +144,7 @@ def enumerate_monomials(var_indices, max_alpha_power):
         raise ValueError("empty variable subset")
     if max_alpha_power < 0:
         raise ValueError("max_alpha_power must be >= 0")
-    return sorted(_monomials(var_indices, max_alpha_power), key=mono_key)
+    return sorted(_monomials(var_indices, max_alpha_power))
 
 
 def _monomials(var_indices, k):
@@ -153,14 +153,14 @@ def _monomials(var_indices, k):
     # so putting them in monomial order is the whole canonical form.
     first, rest = var_indices[0], var_indices[1:]
     if not rest:
-        return [(first, p) for p in range(k + 1)]
-    out = []
+        return [(1, first, p) for p in range(k + 1)]
+    n, out = len(var_indices), []
     for bits in itertools.product((0, 1), repeat=len(rest)):
         right = tuple(itertools.compress(rest, bits))
         if right:
             left = (first,) + tuple(v for v in rest if v not in right)
             for lt, rt in itertools.product(_monomials(left, k), _monomials(right, k)):
-                out.append((lt, rt) if mono_key(lt) < mono_key(rt) else (rt, lt))
+                out.append((n, lt, rt) if lt < rt else (n, rt, lt))
     return out
 
 
@@ -224,11 +224,11 @@ class _LazySequence(Sequence):
 
 def _leaf_grades(mono, depth=0):
     # (variable, depth + twist power) for every leaf, left to right
-    if isinstance(mono[0], int):
-        yield mono[0], depth + mono[1]
+    if mono[0] == 1:
+        yield mono[1], depth + mono[2]
     else:
-        yield from _leaf_grades(mono[0], depth + 1)
         yield from _leaf_grades(mono[1], depth + 1)
+        yield from _leaf_grades(mono[2], depth + 1)
 
 
 def axiom_grades(axiom):
@@ -383,7 +383,7 @@ def _reduce(vec, combo, pivots):
         hits = [m for m in vec if m in pivots]
         if not hits:
             return
-        m = min(hits, key=mono_key)
+        m = min(hits)
         row, rcombo = pivots[m]
         a, lp = vec[m], row[m]
         _scale_sub(vec, lp, a, row)
@@ -412,7 +412,7 @@ def span_membership(target, instances):
         _reduce(vec, combo, pivots)
         if not vec:
             continue
-        lead = min(vec, key=mono_key)
+        lead = min(vec)
         if vec[lead] < 0:
             vec = {m: -c for m, c in vec.items()}
             combo = {i: -c for i, c in combo.items()}
@@ -456,11 +456,10 @@ def derive(target, axioms, bounds=None):
     bounds = bounds or SearchBounds()
     if target.degrees is None:
         raise ValueError("target must be multihomogeneous")
-    if not target.is_multilinear:
-        target = drop_unused(polarize(target))
+    target = drop_unused(polarize(target))
     used, oversized, vanishing = [], [], []
     for axiom in axioms:
-        ax = axiom if axiom.is_multilinear else drop_unused(polarize(axiom))
+        ax = drop_unused(polarize(axiom))
         if len(ax.vars) > len(target.vars):
             oversized.append(ax.name or "axiom")
         elif ax.poly.is_zero:

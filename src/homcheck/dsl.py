@@ -345,13 +345,14 @@ def _fmt_leaf(name, power):
 
 
 def format_monomial(mono, names):
-    """Render a canonical monomial (nested tuples, see normalform)."""
-    if isinstance(mono[0], int):
-        return _fmt_leaf(names[mono[0]], mono[1])
-    left, right = (format_monomial(c, names) for c in mono)
-    if not isinstance(mono[0][0], int):
+    """Render a canonical monomial: a leaf (1, v, p) or a product
+    (n, left, right) of n leaves, see normalform."""
+    if mono[0] == 1:
+        return _fmt_leaf(names[mono[1]], mono[2])
+    left, right = (format_monomial(c, names) for c in mono[1:])
+    if mono[1][0] != 1:
         left = f"({left})"
-    if not isinstance(mono[1][0], int):
+    if mono[2][0] != 1:
         right = f"({right})"
     return f"{left}*{right}"
 

@@ -93,7 +93,7 @@ def substitute(ident, sub):
 def rename(ident, mapping, target_vars):
     """Substitute variables for variables; mapping is name -> name."""
     index = {v: i for i, v in enumerate(target_vars)}
-    images = tuple((index[mapping.get(v, v)], 0) for v in ident.vars)
+    images = tuple((1, index[mapping.get(v, v)], 0) for v in ident.vars)
     return substitute(ident, Substitution(images, tuple(target_vars)))
 
 
@@ -121,7 +121,7 @@ def swap_blocks(ident):
         for j in range(i + 1, n):
             if j in seen:
                 continue
-            images = [(v, 0) for v in range(n)]
+            images = [(1, v, 0) for v in range(n)]
             images[i], images[j] = images[j], images[i]
             swapped = substitute(ident, Substitution(tuple(images), ident.vars))
             image = swapped.poly.coeffs
@@ -188,7 +188,7 @@ def polarize(ident):
                 yield coeff, map_leaves(
                     mono,
                     lambda v, p: (
-                        next(occurrences[v]) if v in occurrences else remap[v], p
+                        1, next(occurrences[v]) if v in occurrences else remap[v], p
                     ),
                 )
 
@@ -205,7 +205,7 @@ def drop_unused(ident):
     return Identity(
         tuple(ident.vars[i] for i in kept),
         canon_sum(
-            (coeff, map_leaves(mono, lambda v, p: (index[v], p)))
+            (coeff, map_leaves(mono, lambda v, p: (1, index[v], p)))
             for mono, coeff in ident.poly.coeffs.items()
         ),
         ident.name,

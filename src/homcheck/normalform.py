@@ -1,10 +1,11 @@
 """Canonical normal forms in the free anticommutative multiplicative Hom-algebra.
 
 A canonical monomial is a binary product tree whose leaves carry a
-variable index and a twist power, encoded as nested tuples::
+variable index and a twist power, encoded as nested tuples that lead
+with their leaf count::
 
-    leaf:    (var_index, alpha_power)        both ints
-    product: (left, right)                   left < right strictly
+    leaf:    (1, var_index, alpha_power)     all ints
+    product: (n, left, right)                n leaves, left < right strictly
 
 The twisting map is fully pushed to the leaves (multiplicativity:
 a(u*v) -> a(u)*a(v)), products with equal children vanish, and swapped
@@ -13,7 +14,9 @@ a characteristic-0 field iff their MPoly maps coincide.
 
 Monomial order: leaf count first; at equal count a leaf precedes any
 product; leaves compare by (variable index, twist power); products
-compare by (left, right) recursively.
+compare by (left, right) recursively.  Tuple order is the monomial
+order: the leading count settles different sizes, and at equal count
+two leaves or two products compare their remaining entries.
 """
 
 from __future__ import annotations
@@ -22,65 +25,43 @@ from fractions import Fraction
 
 from .dsl import RawExpr
 
-# Memo of mono_key; emptied when it reaches _KEY_CACHE_MAX entries so a
-# long-lived process cannot grow it without bound.
-_key_cache = {}
-_KEY_CACHE_MAX = 1 << 16
-
-
-def mono_key(mono):
-    """Total-order sort key; comparing keys realizes the monomial order."""
-    key = _key_cache.get(mono)
-    if key is None:
-        if isinstance(mono[0], int):
-            key = (1, 0, mono[0], mono[1])
-        else:
-            kl, kr = mono_key(mono[0]), mono_key(mono[1])
-            key = (kl[0] + kr[0], 1, kl, kr)
-        if len(_key_cache) >= _KEY_CACHE_MAX:
-            _key_cache.clear()
-        _key_cache[mono] = key
-    return key
-
 
 def compare_monomials(m1, m2):
     """-1, 0 or 1 according to the total monomial order."""
-    if m1 == m2:
-        return 0
-    return -1 if mono_key(m1) < mono_key(m2) else 1
+    return (m1 > m2) - (m1 < m2)
 
 
 def mono_leaves(mono):
     """Yield the (var, power) leaves left to right."""
-    if isinstance(mono[0], int):
-        yield mono
+    if mono[0] == 1:
+        yield mono[1:]
     else:
-        yield from mono_leaves(mono[0])
         yield from mono_leaves(mono[1])
+        yield from mono_leaves(mono[2])
 
 
 def canon(tree):
     """Reorder a product tree of canonical leaves into canonical form.
+    Every node of the tree must lead with its leaf count, which is kept.
 
     Returns (sign, monomial) or None when the tree vanishes (some
     product has equal children).
     """
-    if isinstance(tree[0], int):
+    if tree[0] == 1:
         return 1, tree
-    left = canon(tree[0])
+    left = canon(tree[1])
     if left is None:
         return None
-    right = canon(tree[1])
+    right = canon(tree[2])
     if right is None:
         return None
     sl, ml = left
     sr, mr = right
-    c = compare_monomials(ml, mr)
-    if c == 0:
-        return None
-    if c < 0:
-        return sl * sr, (ml, mr)
-    return -sl * sr, (mr, ml)
+    if ml < mr:
+        return sl * sr, (tree[0], ml, mr)
+    if mr < ml:
+        return -sl * sr, (tree[0], mr, ml)
+    return None
 
 
 def canon_sum(terms):
@@ -97,12 +78,13 @@ def canon_sum(terms):
 
 
 def map_leaves(mono, fn):
-    """The product tree of ``mono`` with every leaf (v, p) replaced by
-    fn(v, p), the leaves visited left to right.  The tree is canonical
-    only when fn keeps it so; ``canon`` restores that."""
-    if isinstance(mono[0], int):
-        return fn(*mono)
-    return (map_leaves(mono[0], fn), map_leaves(mono[1], fn))
+    """The product tree of ``mono`` with every leaf (1, v, p) replaced by
+    the monomial fn(v, p), the leaves visited left to right.  The tree is
+    canonical only when fn keeps it so; ``canon`` restores that."""
+    if mono[0] == 1:
+        return fn(mono[1], mono[2])
+    left, right = map_leaves(mono[1], fn), map_leaves(mono[2], fn)
+    return (left[0] + right[0], left, right)
 
 
 def shift_power(mono, k):
@@ -113,7 +95,7 @@ def shift_power(mono, k):
     """
     if k == 0:
         return mono
-    return map_leaves(mono, lambda v, p: (v, p + k))
+    return map_leaves(mono, lambda v, p: (1, v, p + k))
 
 
 class MPoly:
@@ -146,7 +128,7 @@ class MPoly:
 
     def sorted_terms(self):
         """(monomial, coefficient) pairs in monomial order."""
-        return sorted(self.coeffs.items(), key=lambda kv: mono_key(kv[0]))
+        return sorted(self.coeffs.items())
 
     def scale(self, c):
         c = Fraction(c)
@@ -156,23 +138,21 @@ class MPoly:
 
     def leading(self):
         """(monomial, coefficient) at the smallest monomial; None if zero."""
-        if not self.coeffs:
-            return None
-        m = min(self.coeffs, key=mono_key)
-        return m, self.coeffs[m]
+        return min(self.coeffs.items(), default=None)
 
     def __repr__(self):
         return f"MPoly({len(self.coeffs)} terms)"
 
 
 def _push_twists(term, power):
-    # raw term -> product tree over canonical (var, power) leaves
+    # raw term -> product tree over canonical (1, var, power) leaves
     tag = term[0]
     if tag == "var":
-        return (term[1], power)
+        return (1, term[1], power)
     if tag == "twist":
         return _push_twists(term[1], power + 1)
-    return (_push_twists(term[1], power), _push_twists(term[2], power))
+    left, right = _push_twists(term[1], power), _push_twists(term[2], power)
+    return (left[0] + right[0], left, right)
 
 
 def normalize(expr):
@@ -222,6 +202,6 @@ def multidegree(poly, nvars):
 def poly_strip_twist(poly):
     """Set every leaf twist power to 0 and renormalize (alpha = Id)."""
     return canon_sum(
-        (coeff, map_leaves(mono, lambda v, p: (v, 0)))
+        (coeff, map_leaves(mono, lambda v, p: (1, v, 0)))
         for mono, coeff in poly.coeffs.items()
     )

@@ -155,7 +155,7 @@ def verify_paper(bounds=None):
     # 8: theorem, converse direction, replaying the specializations.
     xyz = ("x", "y", "z")
     e27 = substitute(
-        identity_1_2, Substitution(((1, 0), (0, 0), (1, 0), (2, 0)), xyz)
+        identity_1_2, Substitution(((1, 1, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0)), xyz)
     )
     e27_display = identity_from_dsl(
         "vars x,y,z; J(y*x,a(y),a(z)) - a2(y)*J(y,z,x) + 2*J(a(y),a(x),y*z)"

@@ -74,18 +74,28 @@ def shuffled_variant(rng, expr):
 
 def mono_to_raw(mono):
     """Canonical monomial -> raw term."""
-    if isinstance(mono[0], int):
-        t = var(mono[0])
-        for _ in range(mono[1]):
+    if mono[0] == 1:
+        t = var(mono[1])
+        for _ in range(mono[2]):
             t = twist(t)
         return t
-    return prod(mono_to_raw(mono[0]), mono_to_raw(mono[1]))
+    return prod(mono_to_raw(mono[1]), mono_to_raw(mono[2]))
+
+
+def reference_key(mono):
+    """The monomial order as a sort key, independent of tuple order on the
+    encoding: (1, 0, v, p) for a leaf (1, v, p), (n, 1, key(l), key(r))
+    for a product of n leaves with children l and r."""
+    if isinstance(mono[1], int):
+        return (1, 0, mono[1], mono[2])
+    kl, kr = reference_key(mono[1]), reference_key(mono[2])
+    return (kl[0] + kr[0], 1, kl, kr)
 
 
 def random_monomial(rng, var_degrees, max_power=2):
     """Random canonical monomial with the given leaves-per-variable counts."""
     leaves = [
-        (v, rng.randint(0, max_power))
+        (1, v, rng.randint(0, max_power))
         for v, d in enumerate(var_degrees)
         for _ in range(d)
     ]
@@ -95,7 +105,8 @@ def random_monomial(rng, var_degrees, max_power=2):
         if len(items) == 1:
             return items[0]
         cut = rng.randint(1, len(items) - 1)
-        return (build(items[:cut]), build(items[cut:]))
+        left, right = build(items[:cut]), build(items[cut:])
+        return (left[0] + right[0], left, right)
 
     res = canon(build(leaves))
     return None if res is None else res[1]

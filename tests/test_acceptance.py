@@ -211,7 +211,7 @@ def _suite_polarize_factor():
         ident = Identity(names, poly)
         pol = polarize(ident)
         index = {v: i for i, v in enumerate(names)}
-        images = tuple((index[v.split("#")[0]], 0) for v in pol.vars)
+        images = tuple((1, index[v.split("#")[0]], 0) for v in pol.vars)
         back = substitute(pol, Substitution(images, names)).poly
         factor = 1
         for d in degrees:

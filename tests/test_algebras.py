@@ -412,7 +412,7 @@ def test_concrete_sweep_matches_reference_sweep():
 
 
 def _swapped(ident, i, j):
-    images = [(v, 0) for v in range(len(ident.vars))]
+    images = [(1, v, 0) for v in range(len(ident.vars))]
     images[i], images[j] = images[j], images[i]
     return substitute(ident, Substitution(tuple(images), ident.vars))
 
@@ -558,15 +558,15 @@ def test_sweep_does_one_product_per_first_child(monkeypatch):
     counts = _count_root_work(monkeypatch)
     for name, tuples in (("hom_malcev", 1372), ("identity_1_2", 441)):
         counts["top products"] = 0
-        firsts = {mono[0] for mono in polarize(catalog(name)).poly.coeffs}
+        firsts = {mono[1] for mono in polarize(catalog(name)).poly.coeffs}
         assert len(firsts) == 5
         assert check_identity_concrete(spec, catalog(name)) is None
         assert counts["top products"] == tuples * len(firsts), name
 
 
 def _nodes_below_top(mono):
-    for child in mono:
-        if not isinstance(child[0], int):
+    for child in mono[1:]:
+        if child[0] != 1:
             yield child
             yield from _nodes_below_top(child)
 
@@ -578,7 +578,7 @@ def test_sweep_computes_each_node_once_per_assignment(monkeypatch):
     ident = polarize(catalog("hom_malcev"))
     assert check_identity_concrete(spec, ident) is None
     nodes = {node for mono in ident.poly.coeffs for node in _nodes_below_top(mono)}
-    firsts = {mono[0] for mono in ident.poly.coeffs}
+    firsts = {mono[1] for mono in ident.poly.coeffs}
     # one product per first child at each tuple, and each node below
     # the top once per assignment of its own variables
     bound = 7 ** 4 * len(firsts) + 21 + sum(
@@ -591,7 +591,7 @@ def test_sweep_releases_its_tables():
     # with the cyclic collector off, anything a reference cycle kept
     # alive would still be allocated after the call returns
     spec, ident = bundled("m7"), catalog("hom_malcev")
-    check_identity_concrete(spec, ident)  # fills the monomial key cache
+    check_identity_concrete(spec, ident)  # fills spec's cached integer form
     gc.disable()
     tracemalloc.start()
     try:

@@ -276,6 +276,25 @@ def test_twist_roundtrip(capsys, tmp_path):
     assert code == 0 and out.strip() == "Holds"
 
 
+def test_twist_to_unwritable_path_prints_no_traceback(tmp_path):
+    def twist_to(path):
+        return subprocess.run(
+            [sys.executable, "-m", "homcheck.cli", "twist", "m7", "-o", str(path)],
+            capture_output=True, text=True, env=child_env(), timeout=120,
+        )
+
+    done = twist_to(tmp_path)
+    assert done.returncode == 3
+    assert done.stderr == f"cannot write {tmp_path}: Is a directory\n"
+    assert "Traceback" not in done.stderr
+    missing = tmp_path / "missing" / "out.json"
+    done = twist_to(missing)
+    assert done.returncode == 3
+    assert done.stderr == (
+        f"no such file: [Errno 2] No such file or directory: '{missing}'\n"
+    )
+
+
 def test_verify_paper(capsys):
     code, out, _ = run(capsys, "verify-paper", "--K", "1")
     assert code == 0

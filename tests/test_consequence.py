@@ -27,9 +27,9 @@ from homcheck.identities import (
     strip_twist,
     substitute,
 )
-from homcheck.normalform import MPoly, canon, mono_key, poly_combine
+from homcheck.normalform import MPoly, canon, poly_combine
 
-from conftest import child_env
+from conftest import child_env, reference_key
 
 K0 = SearchBounds(0)
 K1 = SearchBounds(1)
@@ -37,24 +37,24 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def test_enumerate_single_variable():
-    assert enumerate_monomials((0,), 2) == [(0, 0), (0, 1), (0, 2)]
+    assert enumerate_monomials((0,), 2) == [(1, 0, 0), (1, 0, 1), (1, 0, 2)]
 
 
 def test_enumerate_two_variables_k0():
-    assert enumerate_monomials((0, 1), 0) == [((0, 0), (1, 0))]
+    assert enumerate_monomials((0, 1), 0) == [(2, (1, 0, 0), (1, 1, 0))]
 
 
 def test_enumerate_three_variables_k0_against_bracketing_oracle():
     # oracle: canonicalize all 12 ordered full bracketings of x, y, z
-    leaves = [(0, 0), (1, 0), (2, 0)]
+    leaves = [(1, 0, 0), (1, 1, 0), (1, 2, 0)]
     oracle = set()
     for a, b, c in itertools.permutations(leaves):
-        for tree in (((a, b), c), (a, (b, c))):
+        for tree in ((3, (2, a, b), c), (3, a, (2, b, c))):
             res = canon(tree)
             if res is not None:
                 oracle.add(res[1])
     got = enumerate_monomials((0, 1, 2), 0)
-    assert got == sorted(oracle, key=mono_key)
+    assert got == sorted(oracle, key=reference_key)
     assert len(got) == 3
 
 
@@ -70,7 +70,7 @@ def all_trees(leaves):
             left = (first,) + tuple(l for l, b in zip(rest, bits) if not b)
             for lt in all_trees(left):
                 for rt in all_trees(right):
-                    yield (lt, rt)
+                    yield (len(leaves), lt, rt)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -84,12 +84,12 @@ def test_enumerate_matches_canonicalized_trees(k):
     for subset in subsets:
         oracle = set()
         for powers in itertools.product(range(k + 1), repeat=len(subset)):
-            for tree in all_trees(tuple(zip(subset, powers))):
+            for tree in all_trees(tuple((1, v, p) for v, p in zip(subset, powers))):
                 res = canon(tree)
                 if res is not None:
                     oracle.add(res[1])
         got = enumerate_monomials(subset, k)
-        assert got == sorted(oracle, key=mono_key), subset
+        assert got == sorted(oracle, key=reference_key), subset
 
 
 def test_enumerate_counts_scale_with_k():
@@ -330,7 +330,7 @@ def test_first_instance_builds_no_further(monkeypatch):
     pol = polarize(catalog("hom_malcev"))
     insts = generate_instances(pol, ("w", "x", "y", "z"), SearchBounds(3))
     assert calls[0] == 0
-    assert insts[0].substitution.images == ((0, 0), (1, 0), (2, 0), (3, 0))
+    assert insts[0].substitution.images == ((1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 3, 0))
     assert calls[0] == 1  # the identity substitution is the first pick
     # len builds everything: every one of the 4! * 4^4 picks
     assert len(insts) == len(list(insts)) and insts[-1] is list(insts)[-1]

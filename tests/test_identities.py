@@ -47,14 +47,14 @@ def test_malcev_is_untwisted_hom_malcev():
 def test_identity_substitution_is_neutral():
     for name in ("hom_jacobi", "hom_malcev", "identity_1_2", "eq_2_2"):
         ident = catalog(name)
-        images = tuple((i, 0) for i in range(len(ident.vars)))
+        images = tuple((1, i, 0) for i in range(len(ident.vars)))
         sub = Substitution(images, ident.vars)
         assert substitute(ident, sub).poly == ident.poly
 
 
 def test_specialization_w_equals_y():
     i12 = catalog("identity_1_2")
-    sub = Substitution(((1, 0), (0, 0), (1, 0), (2, 0)), ("x", "y", "z"))
+    sub = Substitution(((1, 1, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0)), ("x", "y", "z"))
     e27 = substitute(i12, sub)
     display = identity_from_dsl(
         "vars x,y,z; J(y*x,a(y),a(z)) - a2(y)*J(y,z,x) + 2*J(a(y),a(x),y*z)"
@@ -73,7 +73,7 @@ def test_specialization_w_equals_y():
 def test_substitute_requires_all_variables():
     ident = catalog("hom_jacobi")
     with pytest.raises(ValueError):
-        substitute(ident, Substitution(((0, 0), (1, 0)), ("x", "y")))
+        substitute(ident, Substitution(((1, 0, 0), (1, 1, 0)), ("x", "y")))
 
 
 def test_jacobian_skew_symmetry_suite():
@@ -84,7 +84,7 @@ def test_jacobian_skew_symmetry_suite():
             for b in range(a + 1, 3):
                 if perm[a] > perm[b]:
                     sign = -sign
-        image = substitute(j, Substitution(tuple((p, 0) for p in perm), j.vars))
+        image = substitute(j, Substitution(tuple((1, p, 0) for p in perm), j.vars))
         assert image.poly == j.poly.scale(sign)
 
 
@@ -181,7 +181,7 @@ def test_polarize_refuses_oversized_results_before_building(monkeypatch):
 def _reidentify(pol, original):
     index = {v: i for i, v in enumerate(original.vars)}
     images = tuple(
-        (index[name.split("#")[0]], 0) for name in pol.vars
+        (1, index[name.split("#")[0]], 0) for name in pol.vars
     )
     return substitute(pol, Substitution(images, original.vars))
 
@@ -269,7 +269,7 @@ def test_swap_blocks_without_a_swap_symmetry():
     # transposition
     ident = identity_from_dsl("vars w,x,y,z; (w*a(x))*(y*a(z))")
     double = substitute(
-        ident, Substitution(((2, 0), (3, 0), (0, 0), (1, 0)), ident.vars)
+        ident, Substitution(((1, 2, 0), (1, 3, 0), (1, 0, 0), (1, 1, 0)), ident.vars)
     )
     assert double.poly == ident.poly.scale(-1)
     assert swap_blocks(ident) == ()

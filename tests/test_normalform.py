@@ -2,21 +2,25 @@ import random
 
 from fractions import Fraction
 
-from homcheck import normalform
+from homcheck.consequence import enumerate_monomials
 from homcheck.dsl import format_expr, parse_expr
 from homcheck.normalform import (
     compare_monomials,
     linear_combination,
     map_leaves,
-    mono_key,
     multidegree,
     normalize,
     poly_combine,
     shift_power,
 )
-from homcheck.identities import catalog
+from homcheck.identities import CATALOG_NAMES, catalog, polarize
 
-from conftest import random_raw_expr, shuffled_variant
+from conftest import (
+    random_monomial,
+    random_raw_expr,
+    reference_key,
+    shuffled_variant,
+)
 
 
 def nf(text):
@@ -28,7 +32,7 @@ def test_twist_pushdown():
     p, names = nf("a(x*y)")
     ((mono, coeff),) = p.sorted_terms()
     assert coeff == 1
-    assert mono == ((0, 1), (1, 1))  # a(x)*a(y)
+    assert mono == (2, (1, 0, 1), (1, 1, 1))  # a(x)*a(y)
 
 
 def test_sign_ordering():
@@ -42,40 +46,59 @@ def test_square_vanishes():
 
 
 def test_compare_examples():
-    x, ax = (0, 0), (0, 1)
+    x, ax = (1, 0, 0), (1, 0, 1)
     assert compare_monomials(x, ax) == -1
-    a2y, xy = (1, 2), ((0, 0), (1, 0))
+    a2y, xy = (1, 1, 2), (2, (1, 0, 0), (1, 1, 0))
     assert compare_monomials(a2y, xy) == -1
     # (x*y)*z < (x*z)*y: equal leaf counts, left factors (x*y) < (x*z)
-    m1 = (((0, 0), (1, 0)), (2, 0))
-    m2 = (((0, 0), (2, 0)), (1, 0))
+    m1 = (3, (2, (1, 0, 0), (1, 1, 0)), (1, 2, 0))
+    m2 = (3, (2, (1, 0, 0), (1, 2, 0)), (1, 1, 0))
     assert compare_monomials(m1, m2) == -1
     assert compare_monomials(m2, m1) == 1
     assert compare_monomials(m1, m1) == 0
 
 
 def test_order_is_total_and_consistent_with_keys():
+    # tuple order on the encoding agrees with the reference key on normal
+    # forms, enumerated monomials and every polarized catalog identity
     rng = random.Random(1)
-    monos = set()
-    for _ in range(100):
-        p = normalize(random_raw_expr(rng))
-        monos.update(p.coeffs)
-    monos = sorted(monos, key=mono_key)
+    normal_forms = set()
+    for _ in range(200):
+        normal_forms.update(normalize(random_raw_expr(rng)).coeffs)
+    corpora = [normal_forms]
+    corpora += [enumerate_monomials(range(4), k) for k in range(3)]
+    corpora += [polarize(catalog(name)).poly.coeffs for name in CATALOG_NAMES]
+    for monos in corpora:
+        assert sorted(monos) == sorted(monos, key=reference_key)
+    monos = sorted(normal_forms, key=reference_key)
     for a, b in zip(monos, monos[1:]):
         assert compare_monomials(a, b) == -1
+        assert compare_monomials(b, a) == 1
+        assert compare_monomials(a, a) == 0
 
 
-def test_key_cache_is_bounded(monkeypatch):
+def test_canon_puts_the_key_smaller_child_left():
+    # canon on random unordered trees (repeated variables included) and
+    # on normal forms: every product leads with its leaf count and has
+    # its key-smaller child on the left
+    def leaf_count(mono):
+        if isinstance(mono[1], int):
+            return 1
+        assert reference_key(mono[1]) < reference_key(mono[2])
+        n = leaf_count(mono[1]) + leaf_count(mono[2])
+        assert mono[0] == n
+        return n
+
     rng = random.Random(4)
     monos = set()
-    for _ in range(100):
+    for _ in range(200):
         monos.update(normalize(random_raw_expr(rng)).coeffs)
-    expected = {m: mono_key(m) for m in monos}
-    monkeypatch.setattr(normalform, "_key_cache", {})
-    monkeypatch.setattr(normalform, "_KEY_CACHE_MAX", 8)
-    for m in monos:
-        assert mono_key(m) == expected[m]
-        assert len(normalform._key_cache) <= 8
+        degrees = rng.choice([(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1, 1)])
+        monos.add(random_monomial(rng, degrees))
+    monos.discard(None)
+    assert len(monos) > 300
+    for mono in monos:
+        leaf_count(mono)
 
 
 def test_poly_combine():
@@ -92,13 +115,13 @@ def test_poly_combine():
 
 def test_map_leaves_visits_left_to_right():
     # ((x*a(y))*z): leaves x, a(y), z; a stateful fn sees them in order
-    mono = (((0, 0), (1, 1)), (2, 0))
+    mono = (3, (2, (1, 0, 0), (1, 1, 1)), (1, 2, 0))
     seen = []
-    out = map_leaves(mono, lambda v, p: seen.append((v, p)) or (len(seen), p))
+    out = map_leaves(mono, lambda v, p: seen.append((v, p)) or (1, len(seen), p))
     assert seen == [(0, 0), (1, 1), (2, 0)]
-    assert out == (((1, 0), (2, 1)), (3, 0))
-    assert shift_power(mono, 2) == (((0, 2), (1, 3)), (2, 2))
-    assert shift_power((1, 0), 1) == (1, 1)
+    assert out == (3, (2, (1, 1, 0), (1, 2, 1)), (1, 3, 0))
+    assert shift_power(mono, 2) == (3, (2, (1, 0, 2), (1, 1, 3)), (1, 2, 2))
+    assert shift_power((1, 1, 0), 1) == (1, 1, 1)
 
 
 def test_multidegree():
