@@ -11,7 +11,6 @@ finite-dimensional algebras given by structure constants.
 from .dsl import ParseError, RawExpr, expand_macros, format_expr, parse_expr
 from .normalform import (
     MPoly,
-    compare_monomials,
     multidegree,
     normalize,
     poly_combine,

@@ -76,9 +76,6 @@ class AlgebraSpec:
             rows[j][i] = tuple([(k, -c) for k, c in out.items()])
         self.product_table = tuple(map(tuple, rows))
 
-    def basis_element(self, i):
-        return {i: Fraction(1)}
-
     @cached_property
     def integer_form(self):
         """(dp, dt, product_table, twist_cols) with the product constants
@@ -254,35 +251,6 @@ def multiply(spec, u, v):
 
 def apply_twist(spec, u):
     return element_add((c, spec.twist_cols[j]) for j, c in u.items())
-
-
-def eval_poly(spec, poly, values):
-    """Evaluate an MPoly; values[i] is the element for var i."""
-    # twisted[p][i] is a^p(values[i])
-    twisted = [list(values)]
-    for _ in range(max((p for m in poly.coeffs for _, p in mono_leaves(m)), default=0)):
-        twisted.append([apply_twist(spec, u) for u in twisted[-1]])
-
-    def value(mono):
-        if mono[0] == 1:
-            return twisted[mono[2]][mono[1]]
-        return multiply(spec, value(mono[1]), value(mono[2]))
-
-    return element_add((c, value(m)) for m, c in poly.coeffs.items())
-
-
-def eval_raw(spec, expr, values):
-    """Evaluate a RawExpr directly (without normalizing first)."""
-
-    def term(t):
-        tag = t[0]
-        if tag == "var":
-            return values[t[1]]
-        if tag == "twist":
-            return apply_twist(spec, term(t[1]))
-        return multiply(spec, term(t[1]), term(t[2]))
-
-    return element_add((c, term(t)) for c, t in expr.terms)
 
 
 # ---------------------------------------------------------------------------

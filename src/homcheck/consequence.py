@@ -435,7 +435,7 @@ def span_membership(target, instances):
     return cert
 
 
-def derive(target, axioms, bounds=None):
+def derive(target, axioms, bounds=None, streams=None):
     """End-to-end consequence check: polarize target and axioms as
     needed, enumerate instances, decide span membership.
 
@@ -449,6 +449,16 @@ def derive(target, axioms, bounds=None):
     When every remaining axiom is graded, each enumerates only the picks
     that land in a component of the polarized target; otherwise all
     instances up to K are enumerated.  Either way the result is the same.
+
+    ``streams``, when given, is a dict the caller owns, in which each
+    axiom's lazy instance sequence is kept under everything that sequence
+    depends on: the axiom's name, variables and polarized polynomial, the
+    target's variables, the frozenset of its components (None on the
+    ungraded path) and K.  Derives passed the same dict then read one
+    sequence, each only as far as it needs, and get the results a fresh
+    enumeration gives.  A derive that raised may leave a sequence cut
+    short, so drop the dict after an exception.
+
     Returns (result, polarized_target) where result is a Certificate or
     NotInSpan; a NotInSpan carries ``k_saturated`` (None on the ungraded
     path) and ``axioms_skipped``.
@@ -468,18 +478,27 @@ def derive(target, axioms, bounds=None):
             used.append(ax)
     grades = [axiom_grades(ax) for ax in used]
     graded = None not in grades
-    streams = [
-        generate_instances(ax, target.vars, bounds, target if graded else None)
-        for ax in used
-    ]
-    instances = _LazySequence(itertools.chain.from_iterable(streams))
+    components = frozenset(target_components(target)) if graded else None
+    lazy = []
+    for ax in used:
+        key = (ax.name, ax.vars, ax.poly, target.vars, components,
+               bounds.max_alpha_power)
+        stream = None if streams is None else streams.get(key)
+        if stream is None:
+            stream = generate_instances(
+                ax, target.vars, bounds, target if graded else None
+            )
+            if streams is not None:
+                streams[key] = stream
+        lazy.append(stream)
+    instances = _LazySequence(itertools.chain.from_iterable(lazy))
     result = span_membership(target, instances)
     if isinstance(result, NotInSpan):
         k_saturated = None
         if graded:
             # a kept monomial for u carries power <= s_v - c_u on v
             k_saturated = max([0] + [
-                s_v - c_u for s in target_components(target) for s_v in s
+                s_v - c_u for s in components for s_v in s
                 for g in grades for c_u in g
             ])
         result = replace(

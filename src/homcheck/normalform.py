@@ -26,11 +26,6 @@ from fractions import Fraction
 from .dsl import RawExpr
 
 
-def compare_monomials(m1, m2):
-    """-1, 0 or 1 according to the total monomial order."""
-    return (m1 > m2) - (m1 < m2)
-
-
 def mono_leaves(mono):
     """Yield the (var, power) leaves left to right."""
     if mono[0] == 1:

@@ -6,6 +6,17 @@ anticommutative multiplicative Hom-algebra, no axioms assumed), steps
 3b-8 are consequence derivations with certificates, and step 9
 cross-checks the twist = identity reduction on the bundled concrete
 algebras.
+
+Each job is done once per call.  Steps 3-8 pass one dict to ``derive``,
+so derives over the same axiom, variables, components and K read one
+lazy instance stream (steps 4-7 all read the hom_malcev stream over
+w, x, y, z).  Step 9 sweeps hom_malcev once per algebra and reads the
+malcev verdict off that sweep: where the twist is the identity map,
+every leaf a^p(u) evaluates as u, so hom_malcev takes the value of
+strip_twist(hom_malcev) at every basis tuple, and that identity has
+malcev's polarized normal form.  Both premises, the identity twist and
+the equal normal forms, are checked exactly and are part of the step's
+verdict.
 """
 
 from __future__ import annotations
@@ -19,7 +30,9 @@ from .identities import (
     Substitution,
     catalog,
     identity_from_dsl,
+    polarize,
     rename,
+    strip_twist,
     substitute,
     swap_blocks,
 )
@@ -58,8 +71,8 @@ class Report:
         return {"passed": self.passed, "steps": [s.to_obj() for s in self.steps]}
 
 
-def _derive_step(number, title, target, axioms, bounds):
-    res, _ = derive(target, axioms, bounds)
+def _derive_step(number, title, target, axioms, bounds, streams):
+    res, _ = derive(target, axioms, bounds, streams)
     if isinstance(res, Certificate):
         return Step(
             number,
@@ -81,6 +94,7 @@ def verify_paper(bounds=None):
     """Run the nine verification steps in order and report each."""
     bounds = bounds or SearchBounds()
     steps = []
+    streams = {}  # derive's instance streams, shared by steps 3-8
     hom_malcev = catalog("hom_malcev")
     hom_jacobi = catalog("hom_jacobi")
     identity_1_2 = catalog("identity_1_2")
@@ -114,6 +128,7 @@ def verify_paper(bounds=None):
         g_rep,
         [hom_malcev],
         bounds,
+        streams,
     )
     step3.passed = step3.passed and free_ok
     if not free_ok:
@@ -123,14 +138,14 @@ def verify_paper(bounds=None):
     # 4-6: the auxiliary identities as consequences.
     steps.append(
         _derive_step(4, "cyclic Jacobian sum (eq_2_2)", catalog("eq_2_2"),
-                     [hom_malcev], bounds)
+                     [hom_malcev], bounds, streams)
     )
     steps.append(
         _derive_step(5, "2G through Jacobians (eq_2_3)", catalog("eq_2_3"),
-                     [hom_malcev], bounds)
+                     [hom_malcev], bounds, streams)
     )
-    step6a = _derive_step(6, "", catalog("eq_2_5"), [hom_malcev], bounds)
-    step6b = _derive_step(6, "", catalog("eq_2_4"), [hom_malcev], bounds)
+    step6a = _derive_step(6, "", catalog("eq_2_5"), [hom_malcev], bounds, streams)
+    step6b = _derive_step(6, "", catalog("eq_2_4"), [hom_malcev], bounds, streams)
     steps.append(
         Step(
             6,
@@ -149,6 +164,7 @@ def verify_paper(bounds=None):
             identity_1_2,
             [hom_malcev],
             bounds,
+            streams,
         )
     )
 
@@ -180,25 +196,34 @@ def verify_paper(bounds=None):
         hom_malcev,
         [identity_1_2],
         bounds,
+        streams,
     )
     step8.passed = step8.passed and replay_ok
     step8.detail += "; specialization replay " + ("ok" if replay_ok else "FAILED")
     steps.append(step8)
 
     # 9: twist = identity reduction on the bundled concrete algebras.
-    ok, notes = True, []
+    # Where the twist is Id, every a^p(u) evaluates as u, so hom_malcev
+    # and strip_twist(hom_malcev) agree at every basis tuple; since the
+    # latter has malcev's polarized normal form, one sweep gives both
+    # verdicts.  Both premises are checked, and a failed one fails the step.
+    premises = []
+    if polarize(strip_twist(hom_malcev)).poly != polarize(catalog("malcev")).poly:
+        premises.append("strip_twist(hom_malcev) is not malcev")
+    notes = []
     specs = {name: load_algebra_file(name) for name in ("cross3", "m7")}
     for name, spec in specs.items():
-        hv = check_identity_concrete(spec, hom_malcev) is None
-        mv = check_identity_concrete(spec, catalog("malcev")) is None
-        if hv != mv:
-            ok = False
-        notes.append(f"{name}: hom_malcev={'Holds' if hv else 'fails'},"
-                     f" malcev={'Holds' if mv else 'fails'}")
+        n = spec.dim
+        if spec.twist != tuple(tuple(int(i == j) for j in range(n)) for i in range(n)):
+            premises.append(f"{name} twist is not Id")
+        hv = "Holds" if check_identity_concrete(spec, hom_malcev) is None else "fails"
+        notes.append(f"{name}: hom_malcev={hv}, malcev={hv}")
     cross3_lie = check_identity_concrete(specs["cross3"], hom_jacobi) is None
-    ok = ok and cross3_lie
     notes.append(f"cross3 hom_jacobi {'Holds' if cross3_lie else 'fails'}")
-    steps.append(Step(9, "twist=Id reduction on concrete algebras", ok,
-                      "; ".join(notes)))
+    detail = "; ".join(notes)
+    if premises:
+        detail += "; twist=Id premises FAILED: " + ", ".join(premises)
+    steps.append(Step(9, "twist=Id reduction on concrete algebras",
+                      cross3_lie and not premises, detail))
 
     return Report(steps)

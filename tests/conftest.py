@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 import homcheck
+from homcheck.algebras import apply_twist, element_add, multiply
 from homcheck.dsl import RawExpr, prod, twist, var
-from homcheck.normalform import canon
+from homcheck.normalform import canon, mono_leaves
 
 VARS4 = ("w", "x", "y", "z")
 
@@ -110,6 +111,44 @@ def random_monomial(rng, var_degrees, max_power=2):
 
     res = canon(build(leaves))
     return None if res is None else res[1]
+
+
+# ---------------------------------------------------------------------------
+# reference evaluators: plain Fraction arithmetic on elements (sparse dicts
+# index -> coefficient), with no tables and no integer scaling, as oracles
+# for the concrete sweep and for normalization
+
+def basis_element(i):
+    return {i: Fraction(1)}
+
+
+def eval_poly(spec, poly, values):
+    """Evaluate an MPoly; values[i] is the element for var i."""
+    # twisted[p][i] is a^p(values[i])
+    twisted = [list(values)]
+    for _ in range(max((p for m in poly.coeffs for _, p in mono_leaves(m)), default=0)):
+        twisted.append([apply_twist(spec, u) for u in twisted[-1]])
+
+    def value(mono):
+        if mono[0] == 1:
+            return twisted[mono[2]][mono[1]]
+        return multiply(spec, value(mono[1]), value(mono[2]))
+
+    return element_add((c, value(m)) for m, c in poly.coeffs.items())
+
+
+def eval_raw(spec, expr, values):
+    """Evaluate a RawExpr directly (without normalizing first)."""
+
+    def term(t):
+        tag = t[0]
+        if tag == "var":
+            return values[t[1]]
+        if tag == "twist":
+            return apply_twist(spec, term(t[1]))
+        return multiply(spec, term(t[1]), term(t[2]))
+
+    return element_add((c, term(t)) for c, t in expr.terms)
 
 
 # ---------------------------------------------------------------------------

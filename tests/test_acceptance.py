@@ -10,8 +10,6 @@ from fractions import Fraction
 
 from homcheck.algebras import (
     check_identity_concrete,
-    eval_poly,
-    eval_raw,
     load_algebra_file,
     yau_twist,
 )
@@ -33,7 +31,13 @@ from homcheck.identities import (
 )
 from homcheck.normalform import MPoly, normalize, poly_combine
 
-from conftest import random_coeff, random_monomial, random_raw_expr
+from conftest import (
+    eval_poly,
+    eval_raw,
+    random_coeff,
+    random_monomial,
+    random_raw_expr,
+)
 from test_algebras import _random_spec
 
 K3 = SearchBounds(3)

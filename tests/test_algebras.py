@@ -15,8 +15,6 @@ from homcheck.algebras import (
     check_identity_concrete,
     dump_algebra,
     element_add,
-    eval_poly,
-    eval_raw,
     load_algebra,
     load_algebra_file,
     multiply,
@@ -41,7 +39,7 @@ from homcheck.normalform import (
     poly_combine,
 )
 
-from conftest import random_raw_expr
+from conftest import basis_element, eval_poly, eval_raw, random_raw_expr
 
 
 def bundled(name):
@@ -54,7 +52,7 @@ def bundled(name):
 def test_cross3_is_the_cross_product_algebra():
     spec = bundled("cross3")
     assert spec.dim == 3
-    e = [spec.basis_element(i) for i in range(3)]
+    e = [basis_element(i) for i in range(3)]
     assert multiply(spec, e[0], e[1]) == {2: 1}
     assert multiply(spec, e[1], e[0]) == {2: -1}
     assert multiply(spec, e[0], e[2]) == {1: -1}
@@ -66,7 +64,7 @@ def test_cross3_jacobi_all_27_triples():
     # independent oracle: the cross product is a Lie bracket, so the
     # plain Jacobi sum vanishes on every basis triple
     spec = bundled("cross3")
-    e = [spec.basis_element(i) for i in range(3)]
+    e = [basis_element(i) for i in range(3)]
     for x, y, z in itertools.product(e, repeat=3):
         s = element_add(
             [
@@ -105,7 +103,7 @@ def test_m7_satisfies_malcev_identity_independently(cd_table):
         assert lhs == rhs
 
     for i, j, k in itertools.product(range(7), repeat=3):
-        check(spec.basis_element(i), spec.basis_element(j), spec.basis_element(k))
+        check(basis_element(i), basis_element(j), basis_element(k))
     rng = random.Random(7)
     for _ in range(25):
         x, y, z = (
@@ -120,7 +118,7 @@ def test_m7_auto_twist_is_multiplicative():
     assert spec.is_multiplicative() is None
     # and it is a signed permutation of order 8 fixing e1, e4, e5
     for i in (0, 3, 4):
-        assert apply_twist(spec, spec.basis_element(i)) == {i: 1}
+        assert apply_twist(spec, basis_element(i)) == {i: 1}
 
 
 def test_cross3_rot_twist_is_a_rotation():
@@ -188,7 +186,7 @@ def test_integer_multiplicativity_check_matches_fraction_reference():
     for spec in specs:
         if all(c.denominator == 1 for row in spec.twist for c in row):
             continue
-        e = [spec.basis_element(i) for i in range(spec.dim)]
+        e = [basis_element(i) for i in range(spec.dim)]
         want = next(
             (
                 (i + 1, j + 1)
@@ -386,7 +384,7 @@ def _reference_sweep(spec, ident):
     arithmetic and with no tables: (1-based tuple, residual) or None."""
     ident = ident if ident.is_multilinear else polarize(ident)
     for tup in itertools.product(range(spec.dim), repeat=len(ident.vars)):
-        value = eval_poly(spec, ident.poly, [spec.basis_element(i) for i in tup])
+        value = eval_poly(spec, ident.poly, [basis_element(i) for i in tup])
         if value:
             return tuple(i + 1 for i in tup), value
     return None

@@ -295,13 +295,35 @@ def test_twist_to_unwritable_path_prints_no_traceback(tmp_path):
     )
 
 
+# the full text of verify-paper --K 3
+VERIFY_PAPER_K3 = (
+    "step 1/9: PASS - Hom-Jacobian skew-symmetry (6 permutations) "
+    "(normal-form check, no axioms)",
+    "step 2/9: PASS - four-variable Jacobian relation vanishes freely "
+    "(normal-form check, no axioms)",
+    "step 3/9: PASS - G skew-symmetry (free swaps + repeated-argument "
+    "vanishing) (certificate with 1 rows)",
+    "step 4/9: PASS - cyclic Jacobian sum (eq_2_2) (certificate with 2 "
+    "rows)",
+    "step 5/9: PASS - 2G through Jacobians (eq_2_3) (certificate with 3 "
+    "rows)",
+    "step 6/9: PASS - alternating sum (eq_2_5) and G formula (eq_2_4) "
+    "(eq_2_5: certificate with 4 rows; eq_2_4: certificate with 4 rows)",
+    "step 7/9: PASS - theorem forward: identity_1_2 from hom_malcev "
+    "(certificate with 4 rows)",
+    "step 8/9: PASS - theorem converse: hom_malcev (polarized) from "
+    "identity_1_2 (certificate with 4 rows; specialization replay ok)",
+    "step 9/9: PASS - twist=Id reduction on concrete algebras (cross3: "
+    "hom_malcev=Holds, malcev=Holds; m7: hom_malcev=Holds, malcev=Holds; "
+    "cross3 hom_jacobi Holds)",
+    "overall: PASS",
+)
+
+
 def test_verify_paper(capsys):
-    code, out, _ = run(capsys, "verify-paper", "--K", "1")
+    code, out, _ = run(capsys, "verify-paper", "--K", "3")
     assert code == 0
-    lines = [l for l in out.splitlines() if l.startswith("step ")]
-    assert len(lines) == 9
-    assert all("PASS" in l for l in lines)
-    assert "overall: PASS" in out
+    assert out == "".join(line + "\n" for line in VERIFY_PAPER_K3)
 
 
 def test_closed_stdout_pipe_prints_no_traceback():

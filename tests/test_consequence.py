@@ -561,3 +561,59 @@ def test_certificate_is_linear_in_the_target(k):
     assert [Fraction(r["coeff"]) for r in got] == [
         Fraction(r["coeff"]) / 2 for r in want
     ]
+
+
+def test_shared_streams_give_fresh_results(monkeypatch):
+    # one dict across derives that share a stream, differ in component
+    # ((4,4,4,4) for the twisted eq_2_2, against (3,3,3,3)), in variables,
+    # in K or in the axiom's polynomial alone, or take the ungraded path;
+    # each result equals a fresh derive
+    hom_malcev, malcev = catalog("hom_malcev"), catalog("malcev")
+    # one sign changed, same name and variables
+    impostor = identity_from_dsl(
+        "vars x,y,z; J(a(x),a(y),x*z) + J(x,y,z)*a2(x)", "hom_malcev"
+    )
+    twisted = identity_from_dsl(
+        "vars w,x,y,z; a(J(w*x,a(y),a(z)) + J(x*y,a(z),a(w))"
+        " + J(y*z,a(w),a(x)) + J(z*w,a(x),a(y)))"
+    )
+    cases = [
+        (catalog("eq_2_2"), [hom_malcev], K1),
+        (identity_from_dsl("J(w*x,a(y),a(z))"), [hom_malcev], K1),
+        (catalog("eq_2_2"), [hom_malcev], K1),
+        (catalog("eq_2_2"), [impostor], K1),
+        (twisted, [hom_malcev], K0),
+        (twisted, [hom_malcev], K1),
+        (identity_from_dsl("G(y,x,y,z)"), [hom_malcev], K1),
+        (catalog("identity_1_2"), [malcev, hom_malcev], K1),
+        (catalog("identity_1_2"), [hom_malcev], K1),
+    ]
+    fresh = [derive(*case) for case in cases]
+    built = []
+    real = consequence.generate_instances
+
+    def counted(*args):
+        built.append(args[0].name)
+        return real(*args)
+
+    monkeypatch.setattr(consequence, "generate_instances", counted)
+    streams = {}
+    for (target, axioms, bounds), (want, want_target) in zip(cases, fresh):
+        got, got_target = derive(target, axioms, bounds, streams)
+        assert type(got) is type(want)
+        assert got_target == want_target
+        if isinstance(want, Certificate):
+            assert got.to_json() == want.to_json()
+            assert [i.identity for i, _ in got.rows] == [
+                i.identity for i, _ in want.rows
+            ]
+        else:
+            assert got.residual == want.residual
+            assert got.k_saturated == want.k_saturated
+            assert got.axioms_skipped == want.axioms_skipped
+    # eq_2_2, J(w*x,a(y),a(z)) and the graded identity_1_2 read one stream
+    assert len(streams) == len(built) == 7
+    assert [type(r).__name__ for r, _ in fresh] == [
+        "Certificate", "NotInSpan", "Certificate", "Certificate", "NotInSpan",
+        "Certificate", "Certificate", "Certificate", "Certificate",
+    ]

@@ -17,6 +17,7 @@ import pytest
 from homcheck.consequence import Certificate, NotInSpan, SearchBounds, derive
 from homcheck.dsl import format_expr
 from homcheck.identities import catalog, identity_from_dsl
+from homcheck.verify import verify_paper
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -31,6 +32,21 @@ DERIVATIONS = {
     "identity_1_2": (lambda: catalog("identity_1_2"), "hom_malcev"),
     "hom_malcev": (lambda: catalog("hom_malcev"), "identity_1_2"),
 }
+
+# verify-paper step -> the stems of its certificates, in report order
+STEP_STEMS = {
+    3: ["g_repeated"],
+    4: ["eq_2_2"],
+    5: ["eq_2_3"],
+    6: ["eq_2_5", "eq_2_4"],
+    7: ["identity_1_2"],
+    8: ["hom_malcev"],
+}
+
+STEP_9_DETAIL = (
+    "cross3: hom_malcev=Holds, malcev=Holds; m7: hom_malcev=Holds, malcev=Holds;"
+    " cross3 hom_jacobi Holds"
+)
 
 # golden file stem -> target DSL text, derived from hom_malcev
 RESIDUALS = {
@@ -61,3 +77,17 @@ def test_not_in_span_residual_is_unchanged(stem, k):
     )
     assert isinstance(result, NotInSpan)
     assert format_expr(result.residual, target.vars) == golden(f"residual_{stem}_K{k}.txt")
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_verify_paper_certificates_are_unchanged(k):
+    # steps 3-8 share instance streams; their certificates are the ones
+    # each derive gives on its own
+    steps = {s.number: s for s in verify_paper(SearchBounds(k)).steps}
+    for number, stems in STEP_STEMS.items():
+        certificates = steps[number].certificates
+        assert len(certificates) == len(stems)
+        for cert, stem in zip(certificates, stems):
+            assert cert.to_json() == golden(f"{stem}_K{k}.json")
+    assert steps[9].passed
+    assert steps[9].detail == STEP_9_DETAIL

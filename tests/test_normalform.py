@@ -5,7 +5,6 @@ from fractions import Fraction
 from homcheck.consequence import enumerate_monomials
 from homcheck.dsl import format_expr, parse_expr
 from homcheck.normalform import (
-    compare_monomials,
     linear_combination,
     map_leaves,
     multidegree,
@@ -21,6 +20,11 @@ from conftest import (
     reference_key,
     shuffled_variant,
 )
+
+
+def compare_monomials(m1, m2):
+    """-1, 0 or 1 according to the monomial order, which is tuple order."""
+    return (m1 > m2) - (m1 < m2)
 
 
 def nf(text):

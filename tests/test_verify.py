@@ -1,6 +1,8 @@
-"""The free checks of the paper replay fail when their symmetry is wrong."""
+"""The free checks of the paper replay fail when their symmetry is wrong,
+step 9 fails when a premise of its single sweep does not hold, and each
+replay builds its own instance streams."""
 
-from homcheck import verify
+from homcheck import consequence, verify
 from homcheck.consequence import SearchBounds
 from homcheck.identities import catalog, identity_from_dsl, swap_blocks
 
@@ -36,3 +38,53 @@ def test_step_3_needs_both_antisymmetric_pairs(monkeypatch):
     report = verify.verify_paper(K0)
     assert [s.number for s in report.steps if not s.passed] == [3]
     assert report.steps[2].detail.endswith("; free swap checks FAILED")
+
+
+def test_step_9_checks_the_identity_twist(monkeypatch):
+    # cross3_rot is cross3 with a rotation as twist: multiplicative, not Id
+    real = verify.load_algebra_file
+    monkeypatch.setattr(
+        verify,
+        "load_algebra_file",
+        lambda name: real("cross3_rot" if name == "cross3" else name),
+    )
+    report = verify.verify_paper(K0)
+    assert [s.number for s in report.steps if not s.passed] == [9]
+    assert report.steps[8].detail.endswith(
+        "; twist=Id premises FAILED: cross3 twist is not Id"
+    )
+
+
+def test_step_9_checks_that_malcev_is_the_stripped_hom_malcev(monkeypatch):
+    # one sign changed: an identity with another normal form
+    other = identity_from_dsl(
+        "vars x,y,z; J(x,y,x*z) + J(x,y,z)*x", "malcev"
+    )
+    monkeypatch.setattr(
+        verify,
+        "catalog",
+        lambda name: other if name == "malcev" else catalog(name),
+    )
+    report = verify.verify_paper(K0)
+    assert [s.number for s in report.steps if not s.passed] == [9]
+    assert report.steps[8].detail.endswith(
+        "; twist=Id premises FAILED: strip_twist(hom_malcev) is not malcev"
+    )
+
+
+def test_replays_share_streams_within_a_call_only(monkeypatch):
+    # steps 3-8 need three streams: hom_malcev over G's repeated-argument
+    # variables, hom_malcev over w,x,y,z (steps 4-7) and identity_1_2
+    built = []
+    real = consequence.generate_instances
+
+    def counted(*args):
+        built.append(args[0].name)
+        return real(*args)
+
+    monkeypatch.setattr(consequence, "generate_instances", counted)
+    first = verify.verify_paper(K0)
+    assert built == ["hom_malcev", "hom_malcev", "identity_1_2"]
+    second = verify.verify_paper(K0)
+    assert built == ["hom_malcev", "hom_malcev", "identity_1_2"] * 2
+    assert first.to_obj() == second.to_obj()
