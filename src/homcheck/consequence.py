@@ -15,7 +15,9 @@ Instances are built lazily.  They come in a fixed order: by total twist
 weight, ties in enumeration order (set partitions by restricted-growth
 string, block assignments in permutation order, monomial choices in
 monomial order), deduplicated up to overall scaling keeping the first
-occurrence.  The monomials of a block are built canonical: each split of
+occurrence, and a block assignment that the axiom's own variable swaps
+map onto an earlier one is never substituted, since the dedup would drop
+its instances.  The monomials of a block are built canonical: each split of
 its variables puts the part holding the first variable on the left, and
 since the two factors share no variable, ordering them is their
 canonical form, so no tree is normalized or met twice.  A first pass
@@ -41,10 +43,11 @@ For each block assignment that is one lookup: every component gives one
 row of the grades each axiom variable's monomial must give its block,
 and a pick is kept when its row of grades is one of them.  Residuals,
 certificates and verdicts are those of the full enumeration, and a
-NotInSpan result costs as many substitutions as there are such
-picks.  If any axiom is ungraded, every axiom's instances are enumerated
-(an ungraded instance can mix a component with another grade, which a
-graded instance outside the components may cancel).  Identical inputs
+NotInSpan result costs as many substitutions as there are such picks
+in the block assignments substituted.  If any axiom is ungraded, every
+axiom's instances are enumerated (an ungraded instance can mix a
+component with another grade, which a graded instance outside the
+components may cancel).  Identical inputs
 produce identical certificates.
 """
 
@@ -57,7 +60,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .identities import Identity, Substitution, drop_unused, polarize, substitute
+from .identities import (
+    Identity,
+    Substitution,
+    drop_unused,
+    polarize,
+    substitute,
+    swap_blocks,
+)
 from .normalform import MPoly, mono_leaves, poly_combine
 
 DEFAULT_MAX_ALPHA_POWER = 3
@@ -267,6 +277,19 @@ def generate_instances(axiom, target_vars, bounds=None, target=None):
     the picks are first sorted into weight levels, and each level is
     substituted and deduplicated in turn as the sequence is read.
 
+    An assignment is substituted only if it increases along the positions
+    of each of the axiom's ``swap_blocks``.  If a permutation tau of the
+    variables within the blocks maps the axiom f to +-f, the pick
+    (perm o tau, picks o tau) gives +-1 times the instance of (perm,
+    picks), with the same twist weight and the same grades.  Of the
+    assignments perm o tau, permutations order first the one that is
+    sorted within every block, so its instance is the one the scaling
+    dedup keeps, and the others are dropped unbuilt: the sequence is that
+    of substituting every assignment.  This substitutes 12 of the 24
+    assignments for hom_malcev and malcev (symmetric in x#1, x#2), 6 of
+    24 for identity_1_2 and eq_2_2 to eq_2_5 (two swap blocks of two), and
+    1 of 6 for hom_jacobi (antisymmetric in all three variables).
+
     With ``target=None`` every instance comes.  Given the polarized
     target (an Identity over ``target_vars``) and a graded axiom, only
     the picks whose instance lands in a component of the target come, in
@@ -295,7 +318,15 @@ def generate_instances(axiom, target_vars, bounds=None, target=None):
 
 
 def _instances(axiom, target_vars, max_alpha_power, grades, components):
-    # grades is None: every pick; else only picks landing in a component
+    # grades is None: every pick; else only picks landing in a component.
+    # A block permutation is skipped unless it increases along each swap
+    # block's positions: it is the first of its orbit, whose instances
+    # are +-1 times its own (see generate_instances).
+    steps = [
+        (p, q)
+        for positions, _ in swap_blocks(axiom)
+        for p, q in zip(positions, positions[1:])
+    ]
     levels = {}  # twist weight -> picks, in enumeration order
     for part in _set_partitions(range(len(target_vars)), len(axiom.vars)):
         choices = [enumerate_monomials(block, max_alpha_power) for block in part]
@@ -308,6 +339,8 @@ def _instances(axiom, target_vars, max_alpha_power, grades, components):
                 for monos in choices for m in monos
             }
         for perm in itertools.permutations(range(len(part))):
+            if any(perm[p] > perm[q] for p, q in steps):
+                continue
             # axiom variable i receives a monomial over block perm[i]
             lists = [choices[p] for p in perm]
             if grades is not None:

@@ -29,7 +29,9 @@ product, twist and negation.  Parsing never rewrites products: the
 result is a flat list of (coefficient, raw term) pairs where each raw
 term is a pure product/twist tree over variables.  Expansion multiplies
 term counts, so a product, sum, J or G that would expand to more than
-MAX_RAW_TERMS raw terms raises ParseError before it is built.
+MAX_RAW_TERMS raw terms raises ParseError before it is built.  A J or G
+is refused as soon as 3 or 9 times the term counts of the arguments
+read so far passes the bound, before the next argument is parsed.
 """
 
 from __future__ import annotations
@@ -139,7 +141,8 @@ def _g(w, x, y, z):
     )
 
 
-_MACROS = {"J": (3, _jacobian), "G": (4, _g)}
+# name -> (arity, raw terms per product of argument terms, expansion)
+_MACROS = {"J": (3, 3, _jacobian), "G": (4, 9, _g)}
 
 
 def expand_macros(name, args):
@@ -147,7 +150,7 @@ def expand_macros(name, args):
     share one variable table."""
     if name not in _MACROS:
         raise ValueError(f"unknown macro {name!r}")
-    arity, fn = _MACROS[name]
+    arity, _, fn = _MACROS[name]
     if len(args) != arity:
         raise ValueError(f"{name} takes {arity} arguments, got {len(args)}")
     if len({a.vars for a in args}) != 1:
@@ -302,18 +305,31 @@ class _Parser:
         self.error(f"unexpected {val or 'end of input'!r}", tok)
 
     def call(self, name, tok):
+        # a macro is refused once the arguments read so far expand past
+        # MAX_RAW_TERMS, counting each argument still to come as one term,
+        # so an oversized call stops before its next argument is built
+        factor = _MACROS[name][1] if name in _MACROS else 0
         self.expect("(")
-        args = [self.expr()]
-        while self.peek()[0] == ",":
-            self.next()
+        args = []
+        while True:
             args.append(self.expr())
+            factor *= len(args[-1])
+            if factor > MAX_RAW_TERMS:
+                self.error(
+                    f"expression too large: {name} expands to at least "
+                    f"{factor} raw terms (at most {MAX_RAW_TERMS})",
+                    tok,
+                )
+            if self.peek()[0] != ",":
+                break
+            self.next()
         self.expect(")")
         if name in ("a", "a2"):
             if len(args) != 1:
                 self.error(f"{name} takes 1 argument, got {len(args)}", tok)
             return _twist(args[0], 1 if name == "a" else 2)
         if name in _MACROS:
-            arity, fn = _MACROS[name]
+            arity, _, fn = _MACROS[name]
             if len(args) != arity:
                 self.error(f"{name} takes {arity} arguments, got {len(args)}", tok)
             return fn(*args)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .dsl import MAX_RAW_TERMS, format_monomial, parse_expr
 from .normalform import (
+    canon,
     canon_sum,
     map_leaves,
     multidegree,
@@ -102,42 +103,53 @@ def swap_blocks(ident):
     is symmetric (sign 1) or antisymmetric (sign -1), as a tuple of
     (positions, sign) pairs; variables in no block are left out.
 
-    Each transposition is applied to the normal form, which is compared
-    exactly with +poly and -poly, so a block is a symmetry of the free
-    algebra.  If (i j) and (j k) are symmetries, so is (i k) =
-    (i j)(j k)(i j), and all three have one sign unless the polynomial
-    is zero.  So the swaps form cliques: the block of its first position
-    i is i with every j for which (i j) is a symmetry, and a position
-    already in a block is not tried again.  The zero polynomial matches
-    every swap with sign 1.
+    Each transposition renames the variables of every monomial of the
+    normal form, which is compared exactly with +poly and -poly, so a
+    block is a symmetry of the free algebra.  Renaming is a bijection on
+    canonical monomials (up to the sign ``canon`` finds), so no two
+    renamed monomials meet, and the swap has sign t exactly when each
+    renamed monomial, signed, has t times its coefficient in the
+    polynomial.  t is read off the first monomial, and the check stops at
+    the first monomial that does not match.  If (i j) and (j k) are
+    symmetries, so is (i k) = (i j)(j k)(i j), and all three have one
+    sign unless the polynomial is zero.  So the swaps form cliques: the
+    block of its first position i is i with every j for which (i j) is a
+    symmetry, and a position already in a block is not tried again.  The
+    zero polynomial matches every swap with sign 1.
     """
     n = len(ident.vars)
-    coeffs = ident.poly.coeffs
     blocks, seen = [], set()
     for i in range(n):
         if i in seen:
             continue
-        block = [i]
+        block, sign = [i], 1
         for j in range(i + 1, n):
-            if j in seen:
-                continue
-            images = [(1, v, 0) for v in range(n)]
-            images[i], images[j] = images[j], images[i]
-            swapped = substitute(ident, Substitution(tuple(images), ident.vars))
-            image = swapped.poly.coeffs
-            if image == coeffs:
-                sign = 1
-            elif len(image) == len(coeffs) and all(
-                coeffs.get(m) == -c for m, c in image.items()
-            ):
-                sign = -1
-            else:
-                continue
-            block.append(j)
+            if j not in seen:
+                s = _swap_sign(ident.poly.coeffs, i, j)
+                if s is not None:
+                    block.append(j)
+                    sign = s
         if len(block) > 1:
             seen.update(block)
             blocks.append((tuple(block), sign))
     return tuple(blocks)
+
+
+def _swap_sign(coeffs, i, j):
+    # s when swapping variables i and j maps the polynomial to s times
+    # itself (s = 1 or -1, and 1 for the zero polynomial), else None
+    def leaf(v, p):
+        return (1, j if v == i else i if v == j else v, p)
+
+    sign = 1
+    for k, (mono, c) in enumerate(coeffs.items()):
+        s, image = canon(map_leaves(mono, leaf))
+        d = coeffs.get(image)
+        if k == 0 and d == -s * c:
+            sign = -1
+        if d != sign * s * c:
+            return None
+    return sign
 
 
 def polarize(ident):

@@ -68,7 +68,11 @@ def canon_sum(terms):
         if res is None:
             continue
         sign, mono = res
-        acc[mono] = acc.get(mono, 0) + sign * coeff
+        # negate and store rather than multiply and add to 0: each is a
+        # new Fraction
+        if sign < 0:
+            coeff = -coeff
+        acc[mono] = acc[mono] + coeff if mono in acc else coeff
     return MPoly(acc)
 
 

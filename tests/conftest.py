@@ -1,14 +1,17 @@
 """Shared corpus generators and independent oracles for the test suite."""
 
+import itertools
 import os
 from fractions import Fraction
 
 import pytest
 
 import homcheck
+from homcheck import consequence
 from homcheck.algebras import apply_twist, element_add, multiply
 from homcheck.dsl import RawExpr, prod, twist, var
-from homcheck.normalform import canon, mono_leaves
+from homcheck.identities import Identity, Substitution, substitute
+from homcheck.normalform import MPoly, canon, mono_degrees, mono_leaves, normalize
 
 VARS4 = ("w", "x", "y", "z")
 
@@ -91,6 +94,112 @@ def reference_key(mono):
         return (1, 0, mono[1], mono[2])
     kl, kr = reference_key(mono[1]), reference_key(mono[2])
     return (kl[0] + kr[0], 1, kl, kr)
+
+
+# ---------------------------------------------------------------------------
+# reference symmetry checks and instance streams: every transposition
+# applied by ``substitute``, every block permutation substituted
+
+
+def swapped(ident, i, j):
+    """``ident`` with variables i and j exchanged, through ``substitute``."""
+    images = [(1, v, 0) for v in range(len(ident.vars))]
+    images[i], images[j] = images[j], images[i]
+    return substitute(ident, Substitution(tuple(images), ident.vars))
+
+
+def random_multilinear(rng):
+    """The part of a random expression linear in each of w, x, y, z."""
+    while True:
+        poly = normalize(random_raw_expr(rng, depth=3))
+        poly = MPoly(
+            {m: c for m, c in poly.coeffs.items()
+             if mono_degrees(m, 4) == (1, 1, 1, 1)}
+        )
+        if poly:
+            return Identity(VARS4, poly)
+
+
+def reference_swap_blocks(ident):
+    """swap_blocks by substituting each transposition and comparing the
+    whole normal form with +poly and -poly."""
+    n = len(ident.vars)
+    coeffs = ident.poly.coeffs
+    blocks, seen = [], set()
+    for i in range(n):
+        if i in seen:
+            continue
+        block = [i]
+        for j in range(i + 1, n):
+            if j in seen:
+                continue
+            image = swapped(ident, i, j).poly.coeffs
+            if image == coeffs:
+                sign = 1
+            elif len(image) == len(coeffs) and all(
+                coeffs.get(m) == -c for m, c in image.items()
+            ):
+                sign = -1
+            else:
+                continue
+            block.append(j)
+        if len(block) > 1:
+            seen.update(block)
+            blocks.append((tuple(block), sign))
+    return tuple(blocks)
+
+
+def reference_instances(axiom, target_vars, k, target=None):
+    """The instance stream of generate_instances, built by substituting
+    every block permutation and letting the scaling dedup drop the
+    repeats, as a list."""
+    target_vars = tuple(target_vars)
+    grades = components = None
+    if target is not None:
+        grades = consequence.axiom_grades(axiom)
+        components = consequence.target_components(target)
+    levels = {}  # twist weight -> picks, in enumeration order
+    for part in consequence._set_partitions(range(len(target_vars)), len(axiom.vars)):
+        choices = [consequence.enumerate_monomials(block, k) for block in part]
+        mono_weight = {m: consequence._weight((m,)) for monos in choices for m in monos}
+        if grades is not None:
+            mono_grade = {
+                m: tuple(g for _, g in sorted(consequence._leaf_grades(m)))
+                for monos in choices for m in monos
+            }
+        for perm in itertools.permutations(range(len(part))):
+            lists = [choices[p] for p in perm]
+            if grades is not None:
+                wanted = {
+                    tuple(tuple(s[v] - c for v in part[p])
+                          for p, c in zip(perm, grades))
+                    for s in components
+                }
+                columns = [{row[i] for row in wanted} for i in range(len(perm))]
+                lists = [
+                    [m for m in monos if mono_grade[m] in column]
+                    for monos, column in zip(lists, columns)
+                ]
+            for picks in itertools.product(*lists):
+                if grades is None or tuple(map(mono_grade.get, picks)) in wanted:
+                    level = sum(map(mono_weight.get, picks))
+                    levels.setdefault(level, []).append(picks)
+    out, seen = [], set()
+    for weight in sorted(levels):
+        for picks in levels[weight]:
+            sub = Substitution(picks, target_vars)
+            identity = substitute(axiom, sub)
+            poly = identity.poly
+            if poly.is_zero:
+                continue
+            lead = poly.leading()[1]
+            key = tuple((m, c / lead) for m, c in poly.sorted_terms())
+            if key not in seen:
+                seen.add(key)
+                out.append(consequence.Instance(
+                    axiom.name or "axiom", axiom.vars, sub, identity
+                ))
+    return out
 
 
 def random_monomial(rng, var_degrees, max_power=2):

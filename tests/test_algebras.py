@@ -23,23 +23,26 @@ from homcheck.algebras import (
 from homcheck.identities import (
     CATALOG_NAMES,
     Identity,
-    Substitution,
     catalog,
     identity_from_dsl,
     polarize,
     strip_twist,
-    substitute,
     swap_blocks,
 )
 from homcheck.normalform import (
-    MPoly,
-    mono_degrees,
     mono_leaves,
     normalize,
     poly_combine,
 )
 
-from conftest import basis_element, eval_poly, eval_raw, random_raw_expr
+from conftest import (
+    basis_element,
+    eval_poly,
+    eval_raw,
+    random_multilinear,
+    random_raw_expr,
+    swapped,
+)
 
 
 def bundled(name):
@@ -409,38 +412,20 @@ def test_concrete_sweep_matches_reference_sweep():
     assert verdicts == {True, False}
 
 
-def _swapped(ident, i, j):
-    images = [(1, v, 0) for v in range(len(ident.vars))]
-    images[i], images[j] = images[j], images[i]
-    return substitute(ident, Substitution(tuple(images), ident.vars))
-
-
-def _random_multilinear(rng):
-    """The part of a random expression linear in each of w, x, y, z."""
-    while True:
-        poly = normalize(random_raw_expr(rng, depth=3))
-        poly = MPoly(
-            {m: c for m, c in poly.coeffs.items()
-             if mono_degrees(m, 4) == (1, 1, 1, 1)}
-        )
-        if poly:
-            return Identity(("w", "x", "y", "z"), poly)
-
-
 def test_symmetry_reduced_sweep_matches_reference_sweep():
     # identities with swap symmetries, so that the sweep skips tuples
     rng = random.Random(9)
     idents = []
     for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):  # (w y), (x z) not adjacent
         for sign in (1, -1):
-            ident = _random_multilinear(rng)
-            poly = poly_combine([(1, ident.poly), (sign, _swapped(ident, i, j).poly)])
+            ident = random_multilinear(rng)
+            poly = poly_combine([(1, ident.poly), (sign, swapped(ident, i, j).poly)])
             idents.append(Identity(ident.vars, poly))
             assert any({i, j} <= set(b) for b, _ in swap_blocks(idents[-1]))
-    ident = _random_multilinear(rng)
-    sym = poly_combine([(1, ident.poly), (1, _swapped(ident, 0, 2).poly)])
+    ident = random_multilinear(rng)
+    sym = poly_combine([(1, ident.poly), (1, swapped(ident, 0, 2).poly)])
     sym = Identity(ident.vars, sym)
-    two = poly_combine([(1, sym.poly), (-1, _swapped(sym, 1, 3).poly)])
+    two = poly_combine([(1, sym.poly), (-1, swapped(sym, 1, 3).poly)])
     idents.append(Identity(ident.vars, two))
     assert len(swap_blocks(idents[-1])) == 2
     idents.append(identity_from_dsl("J(w*x,a(y),a(z))"))

@@ -29,7 +29,7 @@ from homcheck.identities import (
 )
 from homcheck.normalform import MPoly, canon, poly_combine
 
-from conftest import child_env, reference_key
+from conftest import child_env, reference_instances, reference_key
 
 K0 = SearchBounds(0)
 K1 = SearchBounds(1)
@@ -300,6 +300,58 @@ def test_lazy_instances_match_eager_order(name, k):
     assert [i.identity.poly for i in got] == [i.identity.poly for i in want]
 
 
+# axioms that keep a variable once polarized; lemma_2_4_ii and g_def
+# vanish freely
+STREAM_AXIOMS = ("malcev", "hom_jacobi", "hom_malcev", "identity_1_2",
+                 "eq_2_2", "eq_2_3", "eq_2_4", "eq_2_5")
+
+# a component of grade 3 everywhere and one of grade 4 over w, x, y, z;
+# over v, w, x, y, z, components that one or two 2-variable blocks reach
+STREAM_TARGETS = (
+    "vars w,x,y,z; J(w*x,a(y),a(z)) + a(J(w*y,a(x),a(z))) + a2(w)*J(x,y,z)",
+    "vars v,w,x,y,z; J((v*w)*x,a(y),a(z)) + J(v*w,x*y,a(z))"
+    " + a(v)*J(w*x,a(y),a(z))",
+)
+
+
+@pytest.mark.parametrize("name", STREAM_AXIOMS)
+def test_instance_stream_equals_all_permutations_reference(name):
+    # one block permutation per orbit of the axiom's swap blocks gives the
+    # stream that substituting all of them gives; eq_2_2's blocks (w y)
+    # and (x z) are not adjacent, malcev is ungraded and ignores target
+    axiom = polarize(catalog(name))
+    graded = consequence.axiom_grades(axiom) is not None
+    full_k = 1 if name == "eq_2_2" else 0
+    for text in STREAM_TARGETS:
+        target = polarize(identity_from_dsl(text))
+        for k in range(3):
+            # an ungraded axiom ignores the target, so it gets one at K=0
+            # only; a full enumeration over five variables substitutes up
+            # to 24 * 10 * 3^5 picks at K=2, so it runs to K=0, or to K=1
+            # for eq_2_2
+            givens = [target] if graded or k == 0 else []
+            if len(target.vars) == 4 or k <= full_k:
+                givens.append(None)
+            for given in givens:
+                want = reference_instances(axiom, target.vars, k, given)
+                got = list(generate_instances(axiom, target.vars, SearchBounds(k), given))
+                assert [i.substitution for i in got] == [i.substitution for i in want]
+                assert [i.identity.poly for i in got] == [i.identity.poly for i in want]
+
+
+def test_one_block_permutation_per_orbit(monkeypatch):
+    # weight-0 picks over the axiom's own variables: one per block
+    # permutation that increases along every swap block
+    calls = count_substitute(monkeypatch)
+    kept = {"malcev": 12, "hom_malcev": 12, "identity_1_2": 6, "eq_2_2": 6,
+            "eq_2_3": 6, "eq_2_4": 6, "eq_2_5": 6, "hom_jacobi": 1}
+    for name, count in kept.items():
+        axiom = polarize(catalog(name))
+        calls[0] = 0
+        assert list(generate_instances(axiom, axiom.vars, K0))
+        assert calls[0] == count, name
+
+
 def count_substitute(monkeypatch):
     calls = [0]
 
@@ -320,9 +372,9 @@ def test_certified_derive_cost_does_not_depend_on_k(monkeypatch):
                            SearchBounds(k))
         assert isinstance(result, Certificate)
         per_k.append(calls[0])
-    # the certificate uses weight-0 instances only: at most the 4! = 24
-    # picks of weight 0 are ever substituted
-    assert per_k[0] == per_k[1] <= 24
+    # the certificate uses weight-0 instances only: at most the 12 picks
+    # of weight 0 (one per orbit of the x#1, x#2 swap) are ever substituted
+    assert per_k[0] == per_k[1] <= 12
 
 
 def test_first_instance_builds_no_further(monkeypatch):
@@ -332,9 +384,10 @@ def test_first_instance_builds_no_further(monkeypatch):
     assert calls[0] == 0
     assert insts[0].substitution.images == ((1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 3, 0))
     assert calls[0] == 1  # the identity substitution is the first pick
-    # len builds everything: every one of the 4! * 4^4 picks
+    # len builds everything: the 4^4 picks of each of the 12 block
+    # permutations that put x#1's block before x#2's
     assert len(insts) == len(list(insts)) and insts[-1] is list(insts)[-1]
-    assert calls[0] == 24 * 4 ** 4
+    assert calls[0] == 12 * 4 ** 4
 
 
 # -- graded enumeration ------------------------------------------------------
@@ -444,9 +497,10 @@ def test_not_in_span_derive_substitutes_only_matching_picks(monkeypatch):
     target = named("J(w*x,a(y),a(z))")
     result, _ = derive(target, [catalog("hom_malcev")], SearchBounds(3))
     assert isinstance(result, NotInSpan) and result.residual_monomials > 0
-    # one pick per block assignment lands in the target's only component;
-    # the full enumeration substitutes 4! * 4^4 = 6144
-    assert calls[0] <= 24
+    # one pick per block assignment lands in the target's only component,
+    # and 12 of the 24 assignments are first in their orbit of the x#1,
+    # x#2 swap; the full enumeration substitutes 12 * 4^4 = 3072
+    assert calls[0] == 12
     assert result.k_saturated == 0 and result.axioms_skipped == ()
 
 
@@ -468,7 +522,9 @@ def test_ungraded_axiom_enumerates_everything(monkeypatch):
     calls[0] = 0
     want, _ = full_path(target, axioms, K1)
     assert isinstance(result, NotInSpan) and isinstance(want, NotInSpan)
-    assert derived == calls[0] == 2 * 24 * 2 ** 4
+    # malcev and hom_malcev are both symmetric in x#1, x#2: 12 of the 24
+    # block permutations each
+    assert derived == calls[0] == 2 * 12 * 2 ** 4
     assert result.k_saturated is None
 
 

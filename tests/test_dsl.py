@@ -85,6 +85,18 @@ def test_parse_bounds_product_expansion(monkeypatch):
             parse_expr(too_large)
 
 
+def test_oversized_macro_is_refused_before_its_next_argument(monkeypatch):
+    # at a bound of 12, 9 * 2 and 3 * 5 already pass it after the first
+    # argument, so the second, which would be a syntax error, is never
+    # parsed; 3 * 2 * 2 does not, and the parser reads on
+    monkeypatch.setattr(dsl, "MAX_RAW_TERMS", 12)
+    for text in ("G(w+x,)", "J(v+w+x+y+z,)"):
+        with pytest.raises(ParseError, match="expands to at least"):
+            parse_expr(text)
+    with pytest.raises(ParseError, match="unexpected"):
+        parse_expr("J(w+x,y+z,)")
+
+
 def test_parse_twist_of_product():
     e = parse_expr("a(x*y)")
     assert e.terms == ((Fraction(1), twist(prod(var(0), var(1)))),)

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from homcheck import identities
 from homcheck.algebras import check_identity_concrete, load_algebra_file
 from homcheck.dsl import MAX_RAW_TERMS, RawExpr, parse_expr
 from homcheck.identities import (
+    CATALOG_NAMES,
     Identity,
     Substitution,
     catalog,
@@ -18,9 +20,17 @@ from homcheck.identities import (
     substitute,
     swap_blocks,
 )
-from homcheck.normalform import MPoly, mono_degrees, normalize
+from homcheck.normalform import MPoly, mono_degrees, normalize, poly_combine
 
-from conftest import mono_to_raw, random_monomial, random_raw_expr, random_coeff
+from conftest import (
+    mono_to_raw,
+    random_coeff,
+    random_monomial,
+    random_multilinear,
+    random_raw_expr,
+    reference_swap_blocks,
+    swapped,
+)
 
 
 def test_catalog_entries():
@@ -261,6 +271,27 @@ def test_swap_blocks_of_the_catalog():
     }
     for name, blocks in expected.items():
         assert _named_blocks(polarize(catalog(name))) == blocks, name
+
+
+def test_swap_blocks_matches_substituting_each_transposition(monkeypatch):
+    # renaming monomials in place finds the blocks that substituting each
+    # transposition and comparing whole normal forms finds, and calls
+    # substitute for none of them
+    idents = [identity_from_dsl("vars w,x,y,z; G(w,x,y,z)"),
+              Identity(("w", "x", "y"), MPoly())]
+    for name in CATALOG_NAMES:
+        ident = catalog(name)
+        idents += [ident, polarize(ident), strip_twist(ident)]
+    rng = random.Random(5)
+    for _ in range(20):
+        ident = random_multilinear(rng)
+        i, j = rng.sample(range(4), 2)
+        sym = poly_combine([(1, ident.poly), (rng.choice((1, -1)), swapped(ident, i, j).poly)])
+        idents += [ident, Identity(ident.vars, sym)]
+    want = [reference_swap_blocks(ident) for ident in idents]
+    monkeypatch.setattr(identities, "substitute", None)
+    assert [swap_blocks(ident) for ident in idents] == want
+    assert {len(blocks) for blocks in want} == {0, 1, 2}
 
 
 def test_swap_blocks_without_a_swap_symmetry():
