@@ -8,7 +8,7 @@ exact replayable certificates, and evaluation of identities in
 finite-dimensional algebras given by structure constants.
 """
 
-from .dsl import ParseError, RawExpr, expand_macros, format_expr, parse_expr
+from .dsl import ParseError, RawExpr, format_expr, parse_expr
 from .normalform import (
     MPoly,
     multidegree,

@@ -4,38 +4,45 @@ Grammar (whitespace insignificant)::
 
     expr    := term (('+'|'-') term)*
     term    := [rat '*'] factor ('*' factor)*
-    factor  := ident | 'a(' expr ')' | 'a2(' expr ')'
-             | 'J(' expr ',' expr ',' expr ')'
-             | 'G(' expr ',' expr ',' expr ',' expr ')'
+    factor  := ident | name '(' expr (',' expr)* ')'
              | '(' expr ')' | '-' factor
     rat     := integer ['/' positive-integer]
 
 '*' is the algebra product, left-associative.  ``a(...)`` is the twisting
 map, ``a2(...)`` is sugar for ``a(a(...))``.  Identifiers match
 [a-z][a-z0-9_]* and may not be one of the reserved names a, a2, J, G,
-vars.  An optional header ``vars w,x,y,z;`` pins the variable order;
-without it variables are numbered by first appearance.  The literal
-``0`` is accepted as the zero expression (the output of formatting an
-empty combination).
+vars.  An optional header ``vars w,x,y,z;`` pins the variable order (a
+name may appear in it once); without it variables are numbered by first
+appearance.  The literal ``0`` is accepted as the zero expression (the
+output of formatting an empty combination).
 
-The macros J (Hom-Jacobian) and G expand at parse time::
+Any other function name must be an entry of the table ``NAMED`` of
+named expressions, each written in this DSL as ``vars params; body``.
+J (Hom-Jacobian) and G are two entries::
 
     J(t,u,v) = (t*u)*a(v) + (u*v)*a(t) + (v*t)*a(u)
     G(w,x,y,z) = J(w*x, a(y), a(z)) - a2(x)*J(w,y,z) - J(x,y,z)*a2(w)
 
-Both are multilinear, so sum arguments distribute.  They are built from
-the three operations on term tuples that the parser itself uses:
-product, twist and negation.  Parsing never rewrites products: the
-result is a flat list of (coefficient, raw term) pairs where each raw
-term is a pure product/twist tree over variables.  Expansion multiplies
-term counts, so a product, sum, J or G that would expand to more than
-MAX_RAW_TERMS raw terms raises ParseError before it is built.  A J or G
-is refused as soon as 3 or 9 times the term counts of the arguments
-read so far passes the bound, before the next argument is parsed.
+and the named identities of the catalog are the rest, so
+``hom_malcev(w*x, a(y), z)`` is a valid factor.  A call expands at parse
+time: each raw term of the body is rebuilt with the argument's terms
+where its parameter was, so sum arguments distribute.  It uses the
+operations on term tuples that the parser itself uses, product and
+twist.  Parsing never rewrites products: the result is a flat list of
+(coefficient, raw term) pairs where each raw term is a pure
+product/twist tree over variables.  Expansion multiplies term counts,
+so a product, sum or call that would expand to more than MAX_RAW_TERMS
+raw terms raises ParseError before it is built.  A call expands to its
+body's raw-term count times each argument's term count raised to its
+parameter's degree (3 times the product of the counts for J, 9 times
+for G), and is refused as soon as the arguments read so far pass the
+bound, before the next argument is parsed.  An unknown function name is
+refused at its '(', before any argument is parsed.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,15 +94,15 @@ class RawExpr:
         return len(self.terms)
 
 
-# The most raw terms one product, sum, J or G may expand to.  Nested
-# macros or repeated sums outgrow memory within a few dozen characters;
+# The most raw terms one product, sum or call may expand to.  Nested
+# calls or repeated sums outgrow memory within a few dozen characters;
 # the largest catalog identity has 30 raw terms and
 # G(G(w,x,y,z),...,G(z,w,x,y)) 59 049.
 MAX_RAW_TERMS = 65536
 
 
 # Term tuples are tuples of (coefficient, raw term) pairs.  The parser and
-# the macros build every expression from these three operations.
+# the calls of named expressions build every expression from these.
 def _bound(size, what):
     """Raise ParseError if ``what`` would expand to more than MAX_RAW_TERMS
     raw terms."""
@@ -117,45 +124,96 @@ def _twist(ts, power=1):
     return ts
 
 
-def _neg(ts):
-    return tuple((-c, t) for c, t in ts)
+# Named expressions, name -> "vars params; body".  A call name(e1, ...)
+# expands the body with each argument's terms where its parameter was.
+# J and G are the two used in writing identities; the rest are the
+# named identities of the catalog, each in display orientation LHS - RHS.
+NAMED = {
+    # Hom-Jacobian.
+    "J": "vars t,u,v; (t*u)*a(v) + (u*v)*a(t) + (v*t)*a(u)",
+    "G": "vars w,x,y,z; J(w*x,a(y),a(z)) - a2(x)*J(w,y,z) - J(x,y,z)*a2(w)",
+    # Malcev identity J(x,y,x*z) - J(x,y,z)*x, with J the untwisted Jacobian.
+    "malcev": (
+        "vars x,y,z;"
+        " (x*y)*(x*z) + (y*(x*z))*x + ((x*z)*x)*y"
+        " - ((x*y)*z)*x - ((y*z)*x)*x - ((z*x)*y)*x"
+    ),
+    # Hom-Jacobi identity: the Hom-Jacobian vanishes.
+    "hom_jacobi": "vars x,y,z; J(x,y,z)",
+    # Hom-Malcev identity (Yau, "Hom-Maltsev, Hom-alternative, and
+    # Hom-Jordan algebras").
+    "hom_malcev": "vars x,y,z; J(a(x),a(y),x*z) - J(x,y,z)*a2(x)",
+    # Four-variable identity equivalent to the Hom-Malcev identity.
+    "identity_1_2": (
+        "vars w,x,y,z;"
+        " J(w*x,a(y),a(z)) - J(w,y,z)*a2(x) - a2(w)*J(x,y,z)"
+        " + 2*J(y*z,a(w),a(x))"
+    ),
+    # Free-algebra identity relating twisted Jacobians of products.
+    "lemma_2_4_ii": (
+        "vars w,x,y,z;"
+        " a2(w)*J(x,y,z) - a2(x)*J(y,z,w) + a2(y)*J(z,w,x) - a2(z)*J(w,x,y)"
+        " - J(w*x,a(y),a(z)) - J(y*z,a(w),a(x)) - J(w*y,a(z),a(x))"
+        " - J(z*x,a(w),a(y)) + J(z*w,a(x),a(y)) + J(x*y,a(z),a(w))"
+    ),
+    # Defining combination of the G function; zero once G is expanded.
+    "g_def": (
+        "vars w,x,y,z;"
+        " G(w,x,y,z) - J(w*x,a(y),a(z)) + a2(x)*J(w,y,z) + J(x,y,z)*a2(w)"
+    ),
+    # Cyclic sum of twisted Jacobians of products.
+    "eq_2_2": (
+        "vars w,x,y,z;"
+        " J(w*x,a(y),a(z)) + J(x*y,a(z),a(w)) + J(y*z,a(w),a(x))"
+        " + J(z*w,a(x),a(y))"
+    ),
+    # 2G expressed through twisted Jacobians.
+    "eq_2_3": (
+        "vars w,x,y,z;"
+        " 2*G(w,x,y,z) - a2(w)*J(x,y,z) + a2(x)*J(w,y,z) - a2(y)*J(z,w,x)"
+        " + a2(z)*J(w,x,y) - J(w*x,a(y),a(z)) - J(y*z,a(w),a(x))"
+    ),
+    # G as twice a two-term Jacobian sum.
+    "eq_2_4": "vars w,x,y,z; G(w,x,y,z) - 2*J(w*x,a(y),a(z)) - 2*J(y*z,a(w),a(x))",
+    # Alternating twisted-Jacobian sum as three times the two-term sum.
+    "eq_2_5": (
+        "vars w,x,y,z;"
+        " a2(w)*J(x,y,z) - a2(x)*J(y,z,w) + a2(y)*J(z,w,x) - a2(z)*J(w,x,y)"
+        " - 3*J(w*x,a(y),a(z)) - 3*J(y*z,a(w),a(x))"
+    ),
+}
 
 
-def _jacobian(t, u, v):
-    """J(t,u,v) = t*u*a(v) + u*v*a(t) + v*t*a(u), multilinear in t,u,v."""
-    _bound(3 * len(t) * len(u) * len(v), "J")
-    return (
-        _prod(_prod(t, u), _twist(v))
-        + _prod(_prod(u, v), _twist(t))
-        + _prod(_prod(v, t), _twist(u))
+@functools.cache
+def named(name):
+    """The parsed body of ``NAMED[name]`` and, per parameter, the most
+    times it occurs in one raw term.  Parsed on first use; the cache
+    holds at most one entry per name of the table."""
+    body = parse_expr(NAMED[name])
+    leaves = [list(_raw_vars(t)) for _, t in body.terms]
+    return body, tuple(
+        max((vs.count(i) for vs in leaves), default=0) for i in range(len(body.vars))
     )
 
 
-def _g(w, x, y, z):
-    """G(w,x,y,z) = J(w*x,a(y),a(z)) - a2(x)*J(w,y,z) - J(x,y,z)*a2(w)."""
-    _bound(9 * len(w) * len(x) * len(y) * len(z), "G")
-    return (
-        _jacobian(_prod(w, x), _twist(y), _twist(z))
-        + _neg(_prod(_twist(x, 2), _jacobian(w, y, z)))
-        + _neg(_prod(_jacobian(x, y, z), _twist(w, 2)))
-    )
+def _raw_vars(t):
+    # the variable index of each leaf of raw term t, left to right
+    while t[0] == "twist":
+        t = t[1]
+    if t[0] == "var":
+        yield t[1]
+    else:
+        yield from _raw_vars(t[1])
+        yield from _raw_vars(t[2])
 
 
-# name -> (arity, raw terms per product of argument terms, expansion)
-_MACROS = {"J": (3, 3, _jacobian), "G": (4, 9, _g)}
-
-
-def expand_macros(name, args):
-    """Expand the macro ``name`` applied to RawExpr arguments, which must
-    share one variable table."""
-    if name not in _MACROS:
-        raise ValueError(f"unknown macro {name!r}")
-    arity, _, fn = _MACROS[name]
-    if len(args) != arity:
-        raise ValueError(f"{name} takes {arity} arguments, got {len(args)}")
-    if len({a.vars for a in args}) != 1:
-        raise ValueError("mixed variable contexts")
-    return RawExpr(fn(*(a.terms for a in args)), args[0].vars)
+def _substitute(t, args):
+    # the terms of raw term t with each variable i replaced by args[i]
+    if t[0] == "var":
+        return args[t[1]]
+    if t[0] == "twist":
+        return _twist(_substitute(t[1], args))
+    return _prod(_substitute(t[1], args), _substitute(t[2], args))
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +294,8 @@ class _Parser:
             self.next()
             while True:
                 tok = self.expect("name")
+                if tok[1] in self.varmap:
+                    self.error(f"duplicate variable {tok[1]!r} in vars declaration", tok)
                 self.var_index(tok[1], tok)
                 if self.peek()[0] == ",":
                     self.next()
@@ -287,13 +347,15 @@ class _Parser:
         while self.peek()[0] == "*":
             self.next()
             factors = _prod(factors, self.factor())
-        return tuple((coeff * c, t) for c, t in factors if coeff * c != 0)
+        if coeff == 1:
+            return factors
+        return tuple((coeff * c, t) for c, t in factors) if coeff else ()
 
     def factor(self):
         tok = self.next()
         kind, val = tok[0], tok[1]
         if kind == "-":
-            return _neg(self.factor())
+            return tuple((-c, t) for c, t in self.factor())
         if kind == "(":
             inner = self.expr()
             self.expect(")")
@@ -305,39 +367,47 @@ class _Parser:
         self.error(f"unexpected {val or 'end of input'!r}", tok)
 
     def call(self, name, tok):
-        # a macro is refused once the arguments read so far expand past
-        # MAX_RAW_TERMS, counting each argument still to come as one term,
-        # so an oversized call stops before its next argument is built
-        factor = _MACROS[name][1] if name in _MACROS else 0
+        # a named expression is refused once the arguments read so far
+        # expand past MAX_RAW_TERMS: its body's raw-term count times each
+        # argument's term count raised to its parameter's degree, counting
+        # each argument still to come as one term, so an oversized call
+        # stops before its next argument is built
+        if name in ("a", "a2"):
+            # one argument, whose own sum and product bounds apply
+            size, degrees = 0, (0,)
+        elif name in NAMED:
+            body, degrees = named(name)
+            size = len(body)
+        else:
+            self.error(f"unknown function {name!r}", tok)
         self.expect("(")
         args = []
         while True:
             args.append(self.expr())
-            factor *= len(args[-1])
-            if factor > MAX_RAW_TERMS:
+            if len(args) <= len(degrees):
+                size *= len(args[-1]) ** degrees[len(args) - 1]
+            if size > MAX_RAW_TERMS:
                 self.error(
                     f"expression too large: {name} expands to at least "
-                    f"{factor} raw terms (at most {MAX_RAW_TERMS})",
+                    f"{size} raw terms (at most {MAX_RAW_TERMS})",
                     tok,
                 )
             if self.peek()[0] != ",":
                 break
             self.next()
         self.expect(")")
+        if len(args) != len(degrees):
+            noun = "argument" if len(degrees) == 1 else "arguments"
+            self.error(f"{name} takes {len(degrees)} {noun}, got {len(args)}", tok)
         if name in ("a", "a2"):
-            if len(args) != 1:
-                self.error(f"{name} takes 1 argument, got {len(args)}", tok)
             return _twist(args[0], 1 if name == "a" else 2)
-        if name in _MACROS:
-            arity, _, fn = _MACROS[name]
-            if len(args) != arity:
-                self.error(f"{name} takes {arity} arguments, got {len(args)}", tok)
-            return fn(*args)
-        self.error(f"unknown function {name!r}", tok)
+        return tuple(
+            (c * d, u) for c, t in body.terms for d, u in _substitute(t, args)
+        )
 
 
 def parse_expr(text):
-    """Parse DSL text into a RawExpr (macros already expanded)."""
+    """Parse DSL text into a RawExpr (named expressions already expanded)."""
     return _Parser(text).parse()
 
 

@@ -4,17 +4,21 @@ An Identity wraps an MPoly asserted to vanish under every substitution,
 together with its ordered variable table.  The built-in catalog holds the
 named identities of anticommutative Hom-algebra theory (Malcev identity,
 Hom-Malcev identity, Hom-Jacobi identity, the four-variable companion
-identity and the auxiliary lemma identities), each stored in display
-orientation as LHS - RHS.
+identity and the auxiliary lemma identities).  Their source is the DSL's
+table of named expressions (``dsl.NAMED``), where each is written as
+``vars params; body`` in display orientation LHS - RHS; the same text is
+what a DSL call such as ``hom_malcev(y,z,x)`` expands, and ``catalog``
+normalizes the body that call parsed.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
-from .dsl import MAX_RAW_TERMS, format_monomial, parse_expr
+from .dsl import MAX_RAW_TERMS, NAMED, format_monomial, named, parse_expr
 from .normalform import (
     canon,
     canon_sum,
@@ -42,9 +46,6 @@ class Identity:
     @property
     def is_multilinear(self):
         return self.degrees == (1,) * len(self.vars)
-
-    def with_name(self, name):
-        return Identity(self.vars, self.poly, name)
 
     def __repr__(self):
         return f"Identity({self.name or '?'}, vars={self.vars}, {len(self.poly)} terms)"
@@ -232,65 +233,15 @@ def strip_twist(ident):
 # ---------------------------------------------------------------------------
 # catalog
 
-_CATALOG_SRC = {
-    # Hom-Jacobi identity: the Hom-Jacobian vanishes.
-    "hom_jacobi": "vars x,y,z; J(x,y,z)",
-    # Hom-Malcev identity.
-    "hom_malcev": "vars x,y,z; J(a(x),a(y),x*z) - J(x,y,z)*a2(x)",
-    # Four-variable identity equivalent to the Hom-Malcev identity.
-    "identity_1_2": (
-        "vars w,x,y,z;"
-        " J(w*x,a(y),a(z)) - J(w,y,z)*a2(x) - a2(w)*J(x,y,z)"
-        " + 2*J(y*z,a(w),a(x))"
-    ),
-    # Free-algebra identity relating twisted Jacobians of products.
-    "lemma_2_4_ii": (
-        "vars w,x,y,z;"
-        " a2(w)*J(x,y,z) - a2(x)*J(y,z,w) + a2(y)*J(z,w,x) - a2(z)*J(w,x,y)"
-        " - J(w*x,a(y),a(z)) - J(y*z,a(w),a(x)) - J(w*y,a(z),a(x))"
-        " - J(z*x,a(w),a(y)) + J(z*w,a(x),a(y)) + J(x*y,a(z),a(w))"
-    ),
-    # Defining combination of the G function; zero by macro expansion.
-    "g_def": (
-        "vars w,x,y,z;"
-        " G(w,x,y,z) - J(w*x,a(y),a(z)) + a2(x)*J(w,y,z) + J(x,y,z)*a2(w)"
-    ),
-    # Cyclic sum of twisted Jacobians of products.
-    "eq_2_2": (
-        "vars w,x,y,z;"
-        " J(w*x,a(y),a(z)) + J(x*y,a(z),a(w)) + J(y*z,a(w),a(x))"
-        " + J(z*w,a(x),a(y))"
-    ),
-    # 2G expressed through twisted Jacobians.
-    "eq_2_3": (
-        "vars w,x,y,z;"
-        " 2*G(w,x,y,z) - a2(w)*J(x,y,z) + a2(x)*J(w,y,z) - a2(y)*J(z,w,x)"
-        " + a2(z)*J(w,x,y) - J(w*x,a(y),a(z)) - J(y*z,a(w),a(x))"
-    ),
-    # G as twice a two-term Jacobian sum.
-    "eq_2_4": "vars w,x,y,z; G(w,x,y,z) - 2*J(w*x,a(y),a(z)) - 2*J(y*z,a(w),a(x))",
-    # Alternating twisted-Jacobian sum as three times the two-term sum.
-    "eq_2_5": (
-        "vars w,x,y,z;"
-        " a2(w)*J(x,y,z) - a2(x)*J(y,z,w) + a2(y)*J(z,w,x) - a2(z)*J(w,x,y)"
-        " - 3*J(w*x,a(y),a(z)) - 3*J(y*z,a(w),a(x))"
-    ),
-}
-
-CATALOG_NAMES = ("malcev",) + tuple(_CATALOG_SRC)
-
-_catalog_cache = {}
+# every named expression of the DSL but the functions J and G
+CATALOG_NAMES = tuple(name for name in NAMED if name not in ("J", "G"))
 
 
+@functools.cache
 def catalog(name):
-    """Return a built-in identity by name; raises KeyError when unknown."""
-    if name in _catalog_cache:
-        return _catalog_cache[name]
-    if name == "malcev":
-        ident = strip_twist(catalog("hom_malcev")).with_name("malcev")
-    elif name in _CATALOG_SRC:
-        ident = identity_from_dsl(_CATALOG_SRC[name], name)
-    else:
+    """Return a built-in identity by name; raises KeyError when unknown.
+    Its polynomial is the normal form of the DSL's parsed body."""
+    if name not in CATALOG_NAMES:
         raise KeyError(f"unknown catalog identity {name!r}")
-    _catalog_cache[name] = ident
-    return ident
+    body = named(name)[0]
+    return Identity(body.vars, normalize(body), name)

@@ -5,7 +5,11 @@ Steps 1-3a are pure normal-form checks (they hold in the free
 anticommutative multiplicative Hom-algebra, no axioms assumed), steps
 3b-8 are consequence derivations with certificates, and step 9
 cross-checks the twist = identity reduction on the bundled concrete
-algebras.
+algebras.  Step 8 also replays the paper's proof of the converse: the
+specializations of identity_1_2 and their difference are written as DSL
+calls such as ``identity_1_2(y,x,y,z)`` and compared with the displayed
+lines by normal form, so that replay uses only the parser and the
+normal form.
 
 Each job is done once per call.  Steps 3-8 pass one dict to ``derive``,
 so derives over the same axiom, variables, components and K read one
@@ -15,8 +19,8 @@ malcev verdict off that sweep: where the twist is the identity map,
 every leaf a^p(u) evaluates as u, so hom_malcev takes the value of
 strip_twist(hom_malcev) at every basis tuple, and that identity has
 malcev's polarized normal form.  Both premises, the identity twist and
-the equal normal forms, are checked exactly and are part of the step's
-verdict.
+the equal normal forms of the two independently written catalog
+identities, are checked exactly and are part of the step's verdict.
 """
 
 from __future__ import annotations
@@ -26,17 +30,12 @@ from dataclasses import dataclass, field
 from .algebras import check_identity_concrete, load_algebra_file
 from .consequence import Certificate, SearchBounds, derive
 from .identities import (
-    Identity,
-    Substitution,
     catalog,
     identity_from_dsl,
     polarize,
-    rename,
     strip_twist,
-    substitute,
     swap_blocks,
 )
-from .normalform import poly_combine
 
 
 @dataclass
@@ -168,28 +167,22 @@ def verify_paper(bounds=None):
         )
     )
 
-    # 8: theorem, converse direction, replaying the specializations.
-    xyz = ("x", "y", "z")
-    e27 = substitute(
-        identity_1_2, Substitution(((1, 1, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0)), xyz)
-    )
-    e27_display = identity_from_dsl(
-        "vars x,y,z; J(y*x,a(y),a(z)) - a2(y)*J(y,z,x) + 2*J(a(y),a(x),y*z)"
-    )
-    e28_display = identity_from_dsl(
-        "vars x,y,z;"
-        " 4*J(a(y),a(z),y*x) + 2*a2(y)*J(y,z,x) + 2*J(y*z,a(y),a(x))"
-    )
-    e27_swapped = rename(Identity(xyz, e27.poly), {"x": "z", "z": "x"}, xyz)
+    # 8: theorem, converse direction.  The paper specializes w = y in
+    # identity_1_2, which gives the displayed (2.7); with z and x swapped
+    # and doubled it gives (2.8); and (2.7) - (2.8) is -3 times hom_malcev
+    # at y, z, x.  Each is an equality of the normal forms of DSL texts,
+    # and each text is parsed once.
+    def xyz(text):
+        return identity_from_dsl("vars x,y,z; " + text).poly
+
+    e27 = xyz("identity_1_2(y,x,y,z)")
     replay_ok = (
-        e27.poly == e27_display.poly
-        and e28_display.poly == e27_swapped.poly.scale(2)
+        e27 == xyz("J(y*x,a(y),a(z)) - a2(y)*J(y,z,x) + 2*J(a(y),a(x),y*z)")
+        and xyz("2*identity_1_2(y,z,y,x)") == xyz(
+            "4*J(a(y),a(z),y*x) + 2*a2(y)*J(y,z,x) + 2*J(y*z,a(y),a(x))"
+        )
+        and e27 == xyz("2*identity_1_2(y,z,y,x) - 3*hom_malcev(y,z,x)")
     )
-    # subtracting the permuted specialization recovers the Hom-Malcev
-    # identity at the cyclically renamed variables, scaled by -3
-    recovered = poly_combine([(1, e27.poly), (-1, e28_display.poly)])
-    malcev_renamed = rename(hom_malcev, {"x": "y", "y": "z", "z": "x"}, xyz)
-    replay_ok = replay_ok and recovered == malcev_renamed.poly.scale(-3)
     step8 = _derive_step(
         8,
         "theorem converse: hom_malcev (polarized) from identity_1_2",

@@ -394,7 +394,8 @@ def test_first_instance_builds_no_further(monkeypatch):
 
 def named(text):
     if text == "identity_1_2 twist-free":
-        return strip_twist(catalog("identity_1_2")).with_name(text)
+        stripped = strip_twist(catalog("identity_1_2"))
+        return Identity(stripped.vars, stripped.poly, text)
     try:
         return catalog(text)
     except KeyError:

@@ -7,7 +7,6 @@ from homcheck import dsl
 from homcheck.dsl import (
     ParseError,
     RawExpr,
-    expand_macros,
     format_expr,
     parse_expr,
     prod,
@@ -97,6 +96,29 @@ def test_oversized_macro_is_refused_before_its_next_argument(monkeypatch):
         parse_expr("J(w+x,y+z,)")
 
 
+def test_unknown_function_is_refused_before_its_argument(monkeypatch):
+    # the argument alone would pass a bound of 12
+    monkeypatch.setattr(dsl, "MAX_RAW_TERMS", 12)
+    oversized = " + ".join(["w"] * 13)
+    with pytest.raises(ParseError, match="expression too large"):
+        parse_expr(f"a({oversized})")
+    with pytest.raises(ParseError, match="unknown function 'f'"):
+        parse_expr(f"f({oversized})")
+
+
+def test_call_bound_counts_parameter_degrees(monkeypatch):
+    # hom_malcev's body has 6 raw terms, each with x twice, so
+    # hom_malcev(w+x,y,z) expands to 6 * 2**2 raw terms
+    text = "hom_malcev(w+x,y,z)"
+    assert dsl.named("hom_malcev")[1] == (2, 1, 1)
+    assert len(parse_expr(text)) == 24
+    monkeypatch.setattr(dsl, "MAX_RAW_TERMS", 24)
+    assert len(parse_expr(text)) == 24
+    monkeypatch.setattr(dsl, "MAX_RAW_TERMS", 23)
+    with pytest.raises(ParseError, match="hom_malcev expands to at least 24 raw terms"):
+        parse_expr(text)
+
+
 def test_parse_twist_of_product():
     e = parse_expr("a(x*y)")
     assert e.terms == ((Fraction(1), twist(prod(var(0), var(1)))),)
@@ -108,27 +130,6 @@ def test_macro_expansion_is_syntactic():
     assert len(e.terms) == 3
     assert (Fraction(1), prod(prod(var(0), var(0)), twist(var(1)))) in e.terms
     assert len(parse_expr("G(w,x,y,z)").terms) == 9
-
-
-def test_expand_macros_api():
-    x = RawExpr(((Fraction(1), var(0)),), ("x", "y", "z"))
-    y = RawExpr(((Fraction(1), var(1)),), ("x", "y", "z"))
-    z = RawExpr(((Fraction(1), var(2)),), ("x", "y", "z"))
-    assert expand_macros("J", (x, y, z)) == parse_expr("vars x,y,z; J(x,y,z)")
-    assert expand_macros("G", (x, y, z, x)) == parse_expr("vars x,y,z; G(x,y,z,x)")
-    with pytest.raises(ValueError):
-        expand_macros("J", (x, y))
-    with pytest.raises(ValueError):
-        expand_macros("G", (x, y, z))
-    with pytest.raises(ValueError):
-        expand_macros("H", (x,))
-    # arguments over different variable tables
-    w = RawExpr(((Fraction(1), var(0)),), ("w", "x", "y", "z"))
-    for args in ((x, y, w), (w, x, y), (x, w, w)):
-        with pytest.raises(ValueError):
-            expand_macros("J", args)
-    with pytest.raises(ValueError):
-        expand_macros("G", (w, x, y, z))
 
 
 def test_vars_header_and_sugar():
@@ -143,12 +144,14 @@ def test_vars_header_and_sugar():
         ("x*(", "end of input"),
         ("J(x,y)", "3 arguments"),
         ("G(x,y,z)", "4 arguments"),
+        ("hom_malcev(x,y)", "3 arguments"),
         ("f(x)", "unknown function"),
         ("a(x,y)", "1 argument"),
         ("J(x,y,z) x", "unexpected"),
         ("3", "constant term"),
         ("1/0", "zero denominator"),
         ("vars x; y", "not in vars declaration"),
+        ("vars x,y,x; x", "duplicate variable 'x' in vars declaration (line 1, column 10)"),
         ("a*x", "reserved"),
     ],
 )

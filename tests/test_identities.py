@@ -54,6 +54,16 @@ def test_malcev_is_untwisted_hom_malcev():
     assert catalog("malcev").poly == classic.poly
 
 
+def test_catalog_call_on_its_parameters_is_the_catalog_identity():
+    # hom_malcev(x,y,z), identity_1_2(w,x,y,z), ...: the DSL call expands
+    # the same body that the catalog normalizes
+    for name in CATALOG_NAMES:
+        params = ",".join(catalog(name).vars)
+        call = identity_from_dsl(f"{name}({params})")
+        assert call.vars == catalog(name).vars
+        assert call.poly == catalog(name).poly, name
+
+
 def test_identity_substitution_is_neutral():
     for name in ("hom_jacobi", "hom_malcev", "identity_1_2", "eq_2_2"):
         ident = catalog(name)

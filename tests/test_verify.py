@@ -40,6 +40,22 @@ def test_step_3_needs_both_antisymmetric_pairs(monkeypatch):
     assert report.steps[2].detail.endswith("; free swap checks FAILED")
 
 
+def test_step_8_checks_the_specialization_replay(monkeypatch):
+    # the displayed (2.7) with one sign changed
+    e27 = "vars x,y,z; J(y*x,a(y),a(z)) - a2(y)*J(y,z,x) + 2*J(a(y),a(x),y*z)"
+    real = verify.identity_from_dsl
+
+    def broken_e27(text, name=None):
+        if text == e27:
+            text = text.replace(" - a2(y)", " + a2(y)")
+        return real(text, name)
+
+    monkeypatch.setattr(verify, "identity_from_dsl", broken_e27)
+    report = verify.verify_paper(K0)
+    assert [s.number for s in report.steps if not s.passed] == [8]
+    assert report.steps[7].detail.endswith("; specialization replay FAILED")
+
+
 def test_step_9_checks_the_identity_twist(monkeypatch):
     # cross3_rot is cross3 with a rotation as twist: multiplicative, not Id
     real = verify.load_algebra_file
