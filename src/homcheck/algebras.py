@@ -185,6 +185,13 @@ def require_multiplicative(spec):
         raise AlgebraError(f"twist is not an endomorphism: fails on basis pair {bad}")
 
 
+def load_bundled(name):
+    """Load a bundled algebra by its name in BUNDLED, whatever files the
+    working directory holds."""
+    data = resources.files("homcheck.data").joinpath(f"{name}.json")
+    return load_algebra(json.loads(data.read_text()), name)
+
+
 def load_algebra_file(path):
     """Load from a JSON file path, or from the bundled catalog by name."""
     import os
@@ -192,8 +199,7 @@ def load_algebra_file(path):
     if not os.path.exists(path):
         stem = os.path.splitext(os.path.basename(str(path)))[0]
         if stem in BUNDLED:
-            data = resources.files("homcheck.data").joinpath(f"{stem}.json")
-            return load_algebra(json.loads(data.read_text()), stem)
+            return load_bundled(stem)
         raise FileNotFoundError(path)
     try:
         with open(path) as fh:

@@ -129,8 +129,9 @@ def cmd_derive(args):
 
 def cmd_verify_paper(args):
     report = verify_paper(_bounds(args))
+    total = len(report.steps)
     lines = [
-        f"step {s.number}/9: {'PASS' if s.passed else 'FAIL'} - {s.title}"
+        f"step {s.number}/{total}: {'PASS' if s.passed else 'FAIL'} - {s.title}"
         + (f" ({s.detail})" if s.detail else "")
         for s in report.steps
     ]

@@ -326,6 +326,16 @@ def test_verify_paper(capsys):
     assert out == "".join(line + "\n" for line in VERIFY_PAPER_K3)
 
 
+def test_verify_paper_ignores_the_working_directory(capsys, tmp_path, monkeypatch):
+    # files named like bundled algebras do not replace them in the replay
+    (tmp_path / "cross3").write_text('{"dim":1,"twist":[["1"]]}')
+    (tmp_path / "m7").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "verify-paper", "--K", "3")
+    assert code == 0
+    assert out == "".join(line + "\n" for line in VERIFY_PAPER_K3)
+
+
 def test_closed_stdout_pipe_prints_no_traceback():
     # the read end is closed before the child writes, so its write fails
     # with EPIPE (as when a reader like `head` exits early)

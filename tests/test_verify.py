@@ -1,8 +1,9 @@
 """The free checks of the paper replay fail when their symmetry is wrong,
-step 9 fails when a premise of its single sweep does not hold, and each
-replay builds its own instance streams."""
+a failed derive fails only its own step, step 9 fails when a premise of
+its single sweep does not hold, and each replay builds its own instance
+streams, sweeps and loads."""
 
-from homcheck import consequence, verify
+from homcheck import algebras, consequence, verify
 from homcheck.consequence import SearchBounds
 from homcheck.identities import catalog, identity_from_dsl, swap_blocks
 
@@ -25,6 +26,17 @@ def test_step_1_rejects_a_symmetric_block(monkeypatch):
     assert [s.number for s in report.steps if not s.passed] == [1]
 
 
+def test_step_2_rejects_a_relation_that_does_not_vanish(monkeypatch):
+    monkeypatch.setattr(
+        verify,
+        "catalog",
+        lambda name: catalog("eq_2_2") if name == "lemma_2_4_ii" else catalog(name),
+    )
+    report = verify.verify_paper(K0)
+    assert [s.number for s in report.steps if not s.passed] == [2]
+    assert report.steps[1].detail == "normal-form check, no axioms"
+
+
 def test_step_3_needs_both_antisymmetric_pairs(monkeypatch):
     # adding (w*x)*(y*a(z)) keeps G antisymmetric in {w,x} only
     real = verify.identity_from_dsl
@@ -38,6 +50,24 @@ def test_step_3_needs_both_antisymmetric_pairs(monkeypatch):
     report = verify.verify_paper(K0)
     assert [s.number for s in report.steps if not s.passed] == [3]
     assert report.steps[2].detail.endswith("; free swap checks FAILED")
+
+
+def test_step_6_joins_the_details_of_both_derives(monkeypatch):
+    # J(w*x,a(y),a(z)) is not a consequence of hom_malcev at K=0
+    other = identity_from_dsl("vars w,x,y,z; J(w*x,a(y),a(z))", "eq_2_4")
+    monkeypatch.setattr(
+        verify,
+        "catalog",
+        lambda name: other if name == "eq_2_4" else catalog(name),
+    )
+    report = verify.verify_paper(K0)
+    assert [s.number for s in report.steps if not s.passed] == [6]
+    assert report.steps[5].detail == (
+        "eq_2_5: certificate with 4 rows; eq_2_4: not in span within bounds; "
+        "residual has 3 monomials"
+    )
+    # the failed derive reports no certificate; eq_2_5's stays
+    assert len(report.steps[5].certificates) == 1
 
 
 def test_step_8_checks_the_specialization_replay(monkeypatch):
@@ -58,10 +88,10 @@ def test_step_8_checks_the_specialization_replay(monkeypatch):
 
 def test_step_9_checks_the_identity_twist(monkeypatch):
     # cross3_rot is cross3 with a rotation as twist: multiplicative, not Id
-    real = verify.load_algebra_file
+    real = verify.load_bundled
     monkeypatch.setattr(
         verify,
-        "load_algebra_file",
+        "load_bundled",
         lambda name: real("cross3_rot" if name == "cross3" else name),
     )
     report = verify.verify_paper(K0)
@@ -104,3 +134,29 @@ def test_replays_share_streams_within_a_call_only(monkeypatch):
     second = verify.verify_paper(K0)
     assert built == ["hom_malcev", "hom_malcev", "identity_1_2"] * 2
     assert first.to_obj() == second.to_obj()
+
+
+def test_replays_sweep_and_load_each_algebra_once(monkeypatch):
+    # step 9 reads malcev's verdict off the hom_malcev sweep, so a replay
+    # makes three sweeps and loads each bundled algebra once
+    loaded, swept = [], []
+    real_load, real_sweep = algebras.load_algebra, verify.check_identity_concrete
+
+    def load(doc, name=None):
+        loaded.append(name)
+        return real_load(doc, name)
+
+    def sweep(spec, ident):
+        swept.append((spec.name, ident.name))
+        return real_sweep(spec, ident)
+
+    monkeypatch.setattr(algebras, "load_algebra", load)
+    monkeypatch.setattr(verify, "check_identity_concrete", sweep)
+    for calls in (1, 2):
+        verify.verify_paper(K0)
+        assert loaded == ["cross3", "m7"] * calls
+        assert swept == [
+            ("cross3", "hom_malcev"),
+            ("m7", "hom_malcev"),
+            ("cross3", "hom_jacobi"),
+        ] * calls
