@@ -255,10 +255,6 @@ def multiply(spec, u, v):
     return {k: c for k, c in out.items() if c}
 
 
-def apply_twist(spec, u):
-    return element_add((c, spec.twist_cols[j]) for j, c in u.items())
-
-
 # ---------------------------------------------------------------------------
 # identity checking and the twisting construction
 
@@ -433,7 +429,7 @@ def yau_twist(spec):
     require_multiplicative(spec)
     product = {}
     for (i, j), out in spec.product.items():
-        new = apply_twist(spec, out)
+        new = element_add((c, spec.twist_cols[j]) for j, c in out.items())
         if new:
             product[(i, j)] = new
     return AlgebraSpec(

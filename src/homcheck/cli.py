@@ -263,6 +263,9 @@ def main(argv=None):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
     except (KeyError, ValueError) as exc:
         if isinstance(exc, AlgebraError):
             print(f"invalid algebra: {exc}", file=sys.stderr)

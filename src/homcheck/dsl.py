@@ -24,20 +24,27 @@ J (Hom-Jacobian) and G are two entries::
     G(w,x,y,z) = J(w*x, a(y), a(z)) - a2(x)*J(w,y,z) - J(x,y,z)*a2(w)
 
 and the named identities of the catalog are the rest, so
-``hom_malcev(w*x, a(y), z)`` is a valid factor.  A call expands at parse
-time: each raw term of the body is rebuilt with the argument's terms
-where its parameter was, so sum arguments distribute.  It uses the
-operations on term tuples that the parser itself uses, product and
-twist.  Parsing never rewrites products: the result is a flat list of
-(coefficient, raw term) pairs where each raw term is a pure
-product/twist tree over variables.  Expansion multiplies term counts,
-so a product, sum or call that would expand to more than MAX_RAW_TERMS
-raw terms raises ParseError before it is built.  A call expands to its
-body's raw-term count times each argument's term count raised to its
-parameter's degree (3 times the product of the counts for J, 9 times
-for G), and is refused as soon as the arguments read so far pass the
-bound, before the next argument is parsed.  An unknown function name is
-refused at its '(', before any argument is parsed.
+``hom_malcev(w*x, a(y), z)`` is a valid factor.
+
+The parser builds every term in the encoding of ``normalform``: a
+variable is the leaf ``(1, v, 0)``, a product is ``(n, left, right)``
+with n its number of leaves, and ``a(...)`` adds 1 to every leaf power
+of its argument's terms (``shift_power``), so the twisting map is
+pushed to the leaves where it is written, by the parser's ``_twist``
+alone.  A call expands at parse time: each body leaf ``(1, i, p)`` is
+replaced by argument i's terms shifted by p, so sum arguments
+distribute.  Parsing neither reorders products nor collects terms: the
+result is a flat list of (coefficient, raw term) pairs, and
+``normalize`` only orders signs and collects.  This module imports the
+tree operations from ``normalform``, never the other way round.
+Expansion multiplies term counts, so a product, sum or call that would
+expand to more than MAX_RAW_TERMS raw terms raises ParseError before it
+is built.  A call expands to its body's raw-term count times each
+argument's term count raised to its parameter's degree (3 times the
+product of the counts for J, 9 times for G), and is refused as soon as
+the arguments read so far pass the bound, before the next argument is
+parsed.  An unknown function name is refused at its '(', before any
+argument is parsed.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .normalform import mono_leaves, shift_power
 
 RESERVED = {"a", "a2", "J", "G", "vars"}
 
@@ -63,28 +72,14 @@ class ParseError(ValueError):
         self.col = col
 
 
-# Raw terms are tagged tuples:
-#   ("var", i)        variable with index i
-#   ("prod", l, r)    product of two raw terms
-#   ("twist", t)      twisting map applied to a raw term
-def var(i):
-    return ("var", i)
-
-
-def prod(left, right):
-    return ("prod", left, right)
-
-
-def twist(term):
-    return ("twist", term)
-
-
 @dataclass(frozen=True)
 class RawExpr:
     """A linear combination of raw terms over a shared variable table.
 
     ``terms`` holds (coefficient, raw term) pairs with nonzero
-    coefficients; ``vars`` maps variable index to name.
+    coefficients, each raw term a product tree over twisted leaves in
+    the encoding of ``normalform``, as written (not yet sign-ordered);
+    ``vars`` maps variable index to name.
     """
 
     terms: tuple
@@ -115,13 +110,14 @@ def _bound(size, what):
 
 def _prod(ts1, ts2):
     _bound(len(ts1) * len(ts2), "a product")
-    return tuple((c1 * c2, prod(t1, t2)) for c1, t1 in ts1 for c2, t2 in ts2)
+    return tuple(
+        (c1 * c2, (t1[0] + t2[0], t1, t2)) for c1, t1 in ts1 for c2, t2 in ts2
+    )
 
 
-def _twist(ts, power=1):
-    for _ in range(power):
-        ts = tuple((c, twist(t)) for c, t in ts)
-    return ts
+def _twist(ts, power):
+    # the twisting map applied power times: the one place a twist is placed
+    return tuple((c, shift_power(t, power)) for c, t in ts) if power else ts
 
 
 # Named expressions, name -> "vars params; body".  A call name(e1, ...)
@@ -190,29 +186,17 @@ def named(name):
     times it occurs in one raw term.  Parsed on first use; the cache
     holds at most one entry per name of the table."""
     body = parse_expr(NAMED[name])
-    leaves = [list(_raw_vars(t)) for _, t in body.terms]
+    leaves = [[v for v, _ in mono_leaves(t)] for _, t in body.terms]
     return body, tuple(
         max((vs.count(i) for vs in leaves), default=0) for i in range(len(body.vars))
     )
 
 
-def _raw_vars(t):
-    # the variable index of each leaf of raw term t, left to right
-    while t[0] == "twist":
-        t = t[1]
-    if t[0] == "var":
-        yield t[1]
-    else:
-        yield from _raw_vars(t[1])
-        yield from _raw_vars(t[2])
-
-
 def _substitute(t, args):
-    # the terms of raw term t with each variable i replaced by args[i]
-    if t[0] == "var":
-        return args[t[1]]
-    if t[0] == "twist":
-        return _twist(_substitute(t[1], args))
+    # the terms of raw term t with each leaf (1, i, p) replaced by the
+    # terms of args[i] shifted by p
+    if t[0] == 1:
+        return _twist(args[t[1]], t[2])
     return _prod(_substitute(t[1], args), _substitute(t[2], args))
 
 
@@ -363,7 +347,7 @@ class _Parser:
         if kind == "name":
             if self.peek()[0] == "(":
                 return self.call(val, tok)
-            return ((Fraction(1), var(self.var_index(val, tok))),)
+            return ((Fraction(1), (1, self.var_index(val, tok), 0)),)
         self.error(f"unexpected {val or 'end of input'!r}", tok)
 
     def call(self, name, tok):
@@ -431,7 +415,7 @@ def _fmt_leaf(name, power):
 
 
 def format_monomial(mono, names):
-    """Render a canonical monomial: a leaf (1, v, p) or a product
+    """Render a monomial or raw term: a leaf (1, v, p) or a product
     (n, left, right) of n leaves, see normalform."""
     if mono[0] == 1:
         return _fmt_leaf(names[mono[1]], mono[2])
@@ -443,44 +427,26 @@ def format_monomial(mono, names):
     return f"{left}*{right}"
 
 
-def _fmt_raw_term(t, names):
-    tag = t[0]
-    if tag == "var":
-        return names[t[1]]
-    if tag == "twist":
-        return f"a({_fmt_raw_term(t[1], names)})"
-    left = _fmt_raw_term(t[1], names)
-    right = _fmt_raw_term(t[2], names)
-    if t[1][0] == "prod":
-        left = f"({left})"
-    if t[2][0] == "prod":
-        right = f"({right})"
-    return f"{left}*{right}"
-
-
-def _join_terms(pairs):
-    # pairs: (Fraction coefficient, rendered monomial string)
-    if not pairs:
-        return "0"
-    out = []
-    for i, (c, s) in enumerate(pairs):
-        mag = abs(c)
-        body = s if mag == 1 else f"{mag}*{s}"
-        if i == 0:
-            out.append(body if c > 0 else f"-{body}")
-        else:
-            out.append(f"{'+' if c > 0 else '-'} {body}")
-    return " ".join(out)
-
-
 def format_expr(obj, names=None):
     """Render a RawExpr or an MPoly back to DSL text.
 
-    The output re-parses to an expression with the same normal form.
-    For an MPoly the variable name table must be supplied.
+    A RawExpr prints its terms as parsed, with the twists on the leaves
+    (``a(x*y)`` prints as ``a(x)*a(y)``).  The output re-parses to an
+    expression with the same normal form.  For an MPoly the variable
+    name table must be supplied.
     """
     if isinstance(obj, RawExpr):
-        return _join_terms([(c, _fmt_raw_term(t, obj.vars)) for c, t in obj.terms])
-    if names is None:
+        names, terms = obj.vars, obj.terms
+    elif names is None:
         raise ValueError("variable names required to format an MPoly")
-    return _join_terms([(c, format_monomial(m, names)) for m, c in obj.sorted_terms()])
+    else:
+        terms = [(c, m) for m, c in obj.sorted_terms()]
+    out = []
+    for c, t in terms:
+        mag, s = abs(c), format_monomial(t, names)
+        body = s if mag == 1 else f"{mag}*{s}"
+        if not out:
+            out.append(body if c > 0 else f"-{body}")
+        else:
+            out.append(f"{'+' if c > 0 else '-'} {body}")
+    return " ".join(out) or "0"

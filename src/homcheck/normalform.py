@@ -17,13 +17,15 @@ product; leaves compare by (variable index, twist power); products
 compare by (left, right) recursively.  Tuple order is the monomial
 order: the leading count settles different sizes, and at equal count
 two leaves or two products compare their remaining entries.
+
+The DSL parser (``dsl``) builds its raw terms in this encoding, with the
+twist already on the leaves, so ``normalize`` is ``canon_sum``: sign
+ordering and collection.  This module imports nothing from ``dsl``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .dsl import RawExpr
 
 
 def mono_leaves(mono):
@@ -90,11 +92,25 @@ def shift_power(mono, k):
     """Apply the twisting map k times: add k to every leaf power.
 
     A uniform shift preserves canonical ordering, so the result is
-    canonical whenever the input is.
+    canonical whenever the input is.  The tree is rebuilt from an
+    explicit stack rather than by recursion, because the parser shifts
+    terms deep inside its own recursion.
     """
     if k == 0:
         return mono
-    return map_leaves(mono, lambda v, p: (1, v, p + k))
+    # a product (n, left, right) goes on the stack as n, left, right:
+    # right is shifted first, so left's image is on top of done when n
+    # comes off
+    done, todo = [], [mono]
+    while todo:
+        node = todo.pop()
+        if type(node) is int:
+            done.append((node, done.pop(), done.pop()))
+        elif node[0] == 1:
+            done.append((1, node[1], node[2] + k))
+        else:
+            todo += node
+    return done[0]
 
 
 class MPoly:
@@ -143,24 +159,12 @@ class MPoly:
         return f"MPoly({len(self.coeffs)} terms)"
 
 
-def _push_twists(term, power):
-    # raw term -> product tree over canonical (1, var, power) leaves
-    tag = term[0]
-    if tag == "var":
-        return (1, term[1], power)
-    if tag == "twist":
-        return _push_twists(term[1], power + 1)
-    left, right = _push_twists(term[1], power), _push_twists(term[2], power)
-    return (left[0] + right[0], left, right)
-
-
 def normalize(expr):
-    """Normal form of a RawExpr: twist pushdown, sign ordering, collection."""
+    """Normal form of a RawExpr, whose raw terms are product trees over
+    canonical leaves: sign ordering and collection."""
     if isinstance(expr, MPoly):
         return expr
-    if not isinstance(expr, RawExpr):
-        raise TypeError(f"cannot normalize {type(expr).__name__}")
-    return canon_sum((coeff, _push_twists(term, 0)) for coeff, term in expr.terms)
+    return canon_sum(expr.terms)
 
 
 def linear_combination(parts):

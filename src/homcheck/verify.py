@@ -13,8 +13,8 @@ or ``vars ...; body`` DSL text.  There are four kinds:
 - ``equal``: equalities of the normal forms of DSL texts over the same
   variables; step 8 replays the paper's proof of the converse this way,
   so that replay uses only the parser and the normal form;
-- ``sweep``: an identity checked on a bundled concrete algebra, with
-  premises.  ``stripped`` is the premise that ``strip_twist`` of one
+- ``sweep``: an identity checked on a bundled concrete algebra, whose
+  verdict counts, with premises.  ``stripped`` is the premise that ``strip_twist`` of one
   identity has another's polarized normal form; a sweep that reads its
   verdict as that other identity's also needs the twist to be the
   identity matrix.  Where the twist is Id, every leaf a^p(u) evaluates
@@ -187,7 +187,7 @@ class _Run:
         n = spec.dim
         if spec.twist != tuple(tuple(int(i == j) for j in range(n)) for i in range(n)):
             self.premises.append(f"{name} twist is not Id")
-        return True, f"{name}: {src}={v}, {reads_as}={v}"
+        return holds, f"{name}: {src}={v}, {reads_as}={v}"
 
 
 def verify_paper(bounds=None):

@@ -2,14 +2,15 @@
 
 import itertools
 import os
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 import homcheck
 from homcheck import consequence
-from homcheck.algebras import apply_twist, element_add, multiply
-from homcheck.dsl import RawExpr, prod, twist, var
+from homcheck.algebras import element_add, multiply
+from homcheck.dsl import parse_expr
 from homcheck.identities import Identity, Substitution, substitute
 from homcheck.normalform import MPoly, canon, mono_degrees, mono_leaves, normalize
 
@@ -30,25 +31,80 @@ def random_coeff(rng):
     return Fraction(num, rng.randint(1, 4))
 
 
-def random_raw_term(rng, nvars, depth=3):
+# ---------------------------------------------------------------------------
+# tagged syntax trees: the tests' own term encoding, independent of the
+# engine's, with the twisting map where it was written:
+#   ("var", i)        variable with index i
+#   ("prod", l, r)    product of two trees
+#   ("twist", t)      twisting map applied to a tree
+# They reach homcheck as DSL text through parse_expr, as a user's input does.
+
+def var(i):
+    return ("var", i)
+
+
+def prod(left, right):
+    return ("prod", left, right)
+
+
+def twist(term):
+    return ("twist", term)
+
+
+@dataclass(frozen=True)
+class TaggedExpr:
+    """(coefficient, tagged tree) pairs over the variable names ``vars``."""
+
+    terms: tuple
+    vars: tuple
+
+
+def random_tagged_term(rng, nvars, depth=3):
     if depth == 0 or rng.random() < 0.4:
         return var(rng.randrange(nvars))
     if rng.random() < 0.3:
-        return twist(random_raw_term(rng, nvars, depth - 1))
+        return twist(random_tagged_term(rng, nvars, depth - 1))
     return (
         prod(
-            random_raw_term(rng, nvars, depth - 1),
-            random_raw_term(rng, nvars, depth - 1),
+            random_tagged_term(rng, nvars, depth - 1),
+            random_tagged_term(rng, nvars, depth - 1),
         )
     )
 
 
-def random_raw_expr(rng, names=VARS4, max_terms=5, depth=3):
+def random_tagged_expr(rng, names=VARS4, max_terms=5, depth=3):
     terms = tuple(
-        (random_coeff(rng), random_raw_term(rng, len(names), depth))
+        (random_coeff(rng), random_tagged_term(rng, len(names), depth))
         for _ in range(rng.randint(1, max_terms))
     )
-    return RawExpr(terms, tuple(names))
+    return TaggedExpr(terms, tuple(names))
+
+
+def fmt_tagged_term(t, names):
+    tag = t[0]
+    if tag == "var":
+        return names[t[1]]
+    if tag == "twist":
+        return f"a({fmt_tagged_term(t[1], names)})"
+    left = fmt_tagged_term(t[1], names)
+    right = fmt_tagged_term(t[2], names)
+    if t[1][0] == "prod":
+        left = f"({left})"
+    if t[2][0] == "prod":
+        right = f"({right})"
+    return f"{left}*{right}"
+
+
+def tagged_text(expr):
+    """DSL text of a TaggedExpr, with a vars header and every coefficient
+    written out."""
+    body = " + ".join(f"{c}*{fmt_tagged_term(t, expr.vars)}" for c, t in expr.terms)
+    return f"vars {','.join(expr.vars)}; {body or '0'}"
+
+
+def parse_tagged(expr):
+    """The RawExpr that parse_expr builds from the text of ``expr``."""
+    return parse_expr(tagged_text(expr))
 
 
 def shuffled_variant(rng, expr):
@@ -73,17 +129,17 @@ def shuffled_variant(rng, expr):
         sign, t = walk(term)
         terms.append((sign * coeff, t))
     rng.shuffle(terms)
-    return RawExpr(tuple(terms), expr.vars)
+    return TaggedExpr(tuple(terms), expr.vars)
 
 
-def mono_to_raw(mono):
-    """Canonical monomial -> raw term."""
+def mono_to_tagged(mono):
+    """Canonical monomial -> tagged tree."""
     if mono[0] == 1:
         t = var(mono[1])
         for _ in range(mono[2]):
             t = twist(t)
         return t
-    return prod(mono_to_raw(mono[1]), mono_to_raw(mono[2]))
+    return prod(mono_to_tagged(mono[1]), mono_to_tagged(mono[2]))
 
 
 def reference_key(mono):
@@ -111,7 +167,7 @@ def swapped(ident, i, j):
 def random_multilinear(rng):
     """The part of a random expression linear in each of w, x, y, z."""
     while True:
-        poly = normalize(random_raw_expr(rng, depth=3))
+        poly = normalize(parse_tagged(random_tagged_expr(rng, depth=3)))
         poly = MPoly(
             {m: c for m, c in poly.coeffs.items()
              if mono_degrees(m, 4) == (1, 1, 1, 1)}
@@ -231,6 +287,10 @@ def basis_element(i):
     return {i: Fraction(1)}
 
 
+def apply_twist(spec, u):
+    return element_add((c, spec.twist_cols[j]) for j, c in u.items())
+
+
 def eval_poly(spec, poly, values):
     """Evaluate an MPoly; values[i] is the element for var i."""
     # twisted[p][i] is a^p(values[i])
@@ -247,7 +307,8 @@ def eval_poly(spec, poly, values):
 
 
 def eval_raw(spec, expr, values):
-    """Evaluate a RawExpr directly (without normalizing first)."""
+    """Evaluate a TaggedExpr directly, applying the twisting map where it
+    is written (without normalizing first)."""
 
     def term(t):
         tag = t[0]

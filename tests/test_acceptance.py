@@ -34,9 +34,10 @@ from homcheck.normalform import MPoly, normalize, poly_combine
 from conftest import (
     eval_poly,
     eval_raw,
+    parse_tagged,
     random_coeff,
     random_monomial,
-    random_raw_expr,
+    random_tagged_expr,
 )
 from test_algebras import _random_spec
 
@@ -161,7 +162,7 @@ def test_criterion_7_twisting_construction():
 def _suite_idempotence():
     rng = random.Random(102)
     for _ in range(1000):
-        p = normalize(random_raw_expr(rng))
+        p = normalize(parse_tagged(random_tagged_expr(rng)))
         text = format_expr(p, ("w", "x", "y", "z"))
         if normalize(parse_expr("vars w,x,y,z; " + text)) != p:
             return False
@@ -171,7 +172,7 @@ def _suite_idempotence():
 def _suite_roundtrip():
     rng = random.Random(103)
     for _ in range(1000):
-        e = random_raw_expr(rng)
+        e = parse_tagged(random_tagged_expr(rng))
         text = format_expr(e)
         if normalize(parse_expr("vars w,x,y,z; " + text)) != normalize(e):
             return False
@@ -182,7 +183,7 @@ def _suite_symbolic_vs_concrete():
     rng = random.Random(104)
     for _ in range(1000):
         spec = _random_spec(rng)
-        expr = random_raw_expr(rng, names=("w", "x", "y", "z"), depth=3)
+        expr = random_tagged_expr(rng, names=("w", "x", "y", "z"), depth=3)
         values = tuple(
             {
                 i: Fraction(rng.randint(-2, 2))
@@ -191,7 +192,8 @@ def _suite_symbolic_vs_concrete():
             }
             for _ in range(4)
         )
-        if eval_raw(spec, expr, values) != eval_poly(spec, normalize(expr), values):
+        symbolic = eval_poly(spec, normalize(parse_tagged(expr)), values)
+        if eval_raw(spec, expr, values) != symbolic:
             return False
     return True
 

@@ -11,7 +11,6 @@ from homcheck import algebras
 from homcheck.algebras import (
     AlgebraError,
     AlgebraSpec,
-    apply_twist,
     check_identity_concrete,
     dump_algebra,
     element_add,
@@ -36,11 +35,13 @@ from homcheck.normalform import (
 )
 
 from conftest import (
+    apply_twist,
     basis_element,
     eval_poly,
     eval_raw,
+    parse_tagged,
     random_multilinear,
-    random_raw_expr,
+    random_tagged_expr,
     swapped,
 )
 
@@ -359,7 +360,7 @@ def test_symbolic_agrees_with_direct_evaluation_corpus():
     rng = random.Random(11)
     for _ in range(1000):
         spec = _random_spec(rng)
-        expr = random_raw_expr(rng, names=("w", "x", "y", "z"), depth=3)
+        expr = random_tagged_expr(rng, names=("w", "x", "y", "z"), depth=3)
         values = tuple(
             {
                 i: Fraction(rng.randint(-2, 2))
@@ -369,7 +370,7 @@ def test_symbolic_agrees_with_direct_evaluation_corpus():
             for _ in range(4)
         )
         direct = eval_raw(spec, expr, values)
-        symbolic = eval_poly(spec, normalize(expr), values)
+        symbolic = eval_poly(spec, normalize(parse_tagged(expr)), values)
         assert direct == symbolic
 
 

@@ -48,6 +48,8 @@ def test_equal_positive_and_negative(capsys):
     assert code == 0 and out.strip() == "equal"
     code, out, _ = run(capsys, "equal", "--", "vars y,x; x*y", "vars x,y; y*x")
     assert code == 1 and out.strip() == "not equal"
+    code, out, _ = run(capsys, "equal", "a(x*y)", "a(x)*a(y)")
+    assert code == 0 and out.strip() == "equal"
 
 
 def test_equal_with_leading_dash_needs_separator(capsys):
@@ -66,6 +68,20 @@ def test_oversized_expression_is_usage(capsys):
     code, out, err = run(capsys, "normalize", "*".join(["(w+x)"] * 17))
     assert (code, out) == (2, "")
     assert err.startswith("parse error: expression too large"), err
+
+
+def test_deep_nesting_is_usage(capsys):
+    # nesting past the interpreter's recursion limit: a long product, deep
+    # twists and deep parentheses each print one line and exit 2
+    for text in (
+        "*".join(["x"] * 1200),
+        "a(" * 300 + "x" + ")" * 300,
+        "(" * 400 + "x*y" + ")" * 400,
+    ):
+        code, out, err = run(capsys, "normalize", text)
+        assert (code, out) == (2, "")
+        assert err == "error: expression nested too deeply\n"
+        assert "Traceback" not in err
 
 
 def test_unknown_subcommand_is_usage(capsys):

@@ -9,47 +9,58 @@ from homcheck.dsl import (
     RawExpr,
     format_expr,
     parse_expr,
-    prod,
-    twist,
-    var,
 )
 from homcheck.normalform import normalize
 
-from conftest import random_raw_expr
+from conftest import parse_tagged, random_tagged_expr
+
+
+# raw terms in the leaf encoding: a variable is the leaf (1, v, p) with
+# the twist power p already on it, a product is (n, left, right)
+def leaf(v, power=0):
+    return (1, v, power)
+
+
+def prod(left, right):
+    return (left[0] + right[0], left, right)
 
 
 def test_parse_difference():
     e = parse_expr("x*y - y*x")
     assert e.vars == ("x", "y")
     assert e.terms == (
-        (Fraction(1), prod(var(0), var(1))),
-        (Fraction(-1), prod(var(1), var(0))),
+        (Fraction(1), (2, (1, 0, 0), (1, 1, 0))),
+        (Fraction(-1), (2, (1, 1, 0), (1, 0, 0))),
     )
 
 
 def test_parse_jacobian_macro():
     e = parse_expr("J(x,y,z)")
-    x, y, z = var(0), var(1), var(2)
+    x, y, z = leaf(0), leaf(1), leaf(2)
     assert e.terms == (
-        (Fraction(1), prod(prod(x, y), twist(z))),
-        (Fraction(1), prod(prod(y, z), twist(x))),
-        (Fraction(1), prod(prod(z, x), twist(y))),
+        (Fraction(1), prod(prod(x, y), leaf(2, 1))),
+        (Fraction(1), prod(prod(y, z), leaf(0, 1))),
+        (Fraction(1), prod(prod(z, x), leaf(1, 1))),
     )
 
 
 def test_parse_g_macro():
     # G(w,x,y,z) = J(w*x,a(y),a(z)) - a2(x)*J(w,y,z) - J(x,y,z)*a2(w),
-    # term for term and in this order
-    w, x, y, z = var(0), var(1), var(2), var(3)
+    # term for term and in this order, the twists on the leaves
+    w, x, y, z = (leaf(v) for v in range(4))
 
     def jac(t, u, v):
-        return [prod(prod(t, u), twist(v)), prod(prod(u, v), twist(t)),
-                prod(prod(v, t), twist(u))]
+        # J with each argument a single product tree, a() on its leaves
+        def a(m):
+            return leaf(m[1], m[2] + 1) if m[0] == 1 else prod(a(m[1]), a(m[2]))
+
+        return [prod(prod(t, u), a(v)), prod(prod(u, v), a(t)),
+                prod(prod(v, t), a(u))]
 
     want = (
-        [(1, t) for t in jac(prod(w, x), twist(y), twist(z))]
-        + [(-1, prod(twist(twist(x)), t)) for t in jac(w, y, z)]
-        + [(-1, prod(t, twist(twist(w)))) for t in jac(x, y, z)]
+        [(1, t) for t in jac(prod(w, x), leaf(2, 1), leaf(3, 1))]
+        + [(-1, prod(leaf(1, 2), t)) for t in jac(w, y, z)]
+        + [(-1, prod(t, leaf(0, 2))) for t in jac(x, y, z)]
     )
     assert parse_expr("G(w,x,y,z)").terms == tuple(want)
 
@@ -120,15 +131,25 @@ def test_call_bound_counts_parameter_degrees(monkeypatch):
 
 
 def test_parse_twist_of_product():
+    # the parser puts twists on the leaves: a adds 1 to every leaf power,
+    # a2 adds 2, and a call shifts each argument by the power of its
+    # parameter's leaf in the body
     e = parse_expr("a(x*y)")
-    assert e.terms == ((Fraction(1), twist(prod(var(0), var(1)))),)
+    assert e.terms == ((Fraction(1), (2, (1, 0, 1), (1, 1, 1))),)
+    e = parse_expr("a2(x*(y*z))")
+    assert e.terms == ((1, prod(leaf(0, 2), prod(leaf(1, 2), leaf(2, 2)))),)
+    e = parse_expr("vars x,y,z; J(a(x),y*z,x)")
+    assert e.terms[1] == (1, prod(prod(prod(leaf(1), leaf(2)), leaf(0)),
+                                  leaf(0, 2)))
+    assert e.terms[2] == (1, prod(prod(leaf(0), leaf(0, 1)),
+                                  prod(leaf(1, 1), leaf(2, 1))))
 
 
 def test_macro_expansion_is_syntactic():
     # J(x,x,y) keeps its (x*x)*a(y) entry; it only vanishes on normalization
     e = parse_expr("J(x,x,y)")
     assert len(e.terms) == 3
-    assert (Fraction(1), prod(prod(var(0), var(0)), twist(var(1)))) in e.terms
+    assert (Fraction(1), prod(prod(leaf(0), leaf(0)), leaf(1, 1))) in e.terms
     assert len(parse_expr("G(w,x,y,z)").terms) == 9
 
 
@@ -177,10 +198,12 @@ def test_zero_literal():
 def test_format_examples():
     assert format_expr(normalize(parse_expr("x*y")), ("x", "y")) == "x*y"
     raw = RawExpr(
-        ((Fraction(-1), prod(prod(var(0), var(1)), twist(var(2)))),),
+        ((Fraction(-1), prod(prod(leaf(0), leaf(1)), leaf(2, 1))),),
         ("x", "y", "z"),
     )
     assert format_expr(raw) == "-(x*y)*a(z)"
+    # a RawExpr prints its twists on the leaves
+    assert format_expr(parse_expr("a(x*y)")) == "a(x)*a(y)"
 
 
 def test_format_jacobian_roundtrip():
@@ -195,7 +218,7 @@ def test_roundtrip_property_corpus():
     rng = random.Random(0)
     header = "vars w,x,y,z; "
     for _ in range(1000):
-        e = random_raw_expr(rng)
+        e = parse_tagged(random_tagged_expr(rng))
         text = format_expr(e)
         reparsed = parse_expr(header + text) if text != "0" else parse_expr("0")
         assert normalize(reparsed) == normalize(e)

@@ -6,7 +6,7 @@ import pytest
 
 from homcheck import identities
 from homcheck.algebras import check_identity_concrete, load_algebra_file
-from homcheck.dsl import MAX_RAW_TERMS, RawExpr, parse_expr
+from homcheck.dsl import MAX_RAW_TERMS, parse_expr
 from homcheck.identities import (
     CATALOG_NAMES,
     Identity,
@@ -23,11 +23,13 @@ from homcheck.identities import (
 from homcheck.normalform import MPoly, mono_degrees, normalize, poly_combine
 
 from conftest import (
-    mono_to_raw,
+    TaggedExpr,
+    mono_to_tagged,
+    parse_tagged,
     random_coeff,
     random_monomial,
     random_multilinear,
-    random_raw_expr,
+    random_tagged_expr,
     reference_swap_blocks,
     swapped,
 )
@@ -231,34 +233,34 @@ def test_reidentification_factor():
 
 
 def test_substitute_commutes_with_normalization():
-    # raw-level substitution then normalization agrees with substitution
-    # on normal forms
+    # substitution on tagged trees, then parsing and normalization, agrees
+    # with substitution on normal forms
     rng = random.Random(5)
     target = ("u", "v")
     for _ in range(300):
-        e = random_raw_expr(rng, names=("x", "y"), max_terms=3, depth=2)
+        e = random_tagged_expr(rng, names=("x", "y"), max_terms=3, depth=2)
         images = []
         while len(images) < 2:
             m = random_monomial(rng, rng.choice([(1, 0), (0, 1), (1, 1)]))
             if m is not None:
                 images.append(m)
-        raws = [mono_to_raw(m) for m in images]
+        trees = [mono_to_tagged(m) for m in images]
 
         def walk(t):
             tag = t[0]
             if tag == "var":
-                return raws[t[1]]
+                return trees[t[1]]
             if tag == "twist":
                 return ("twist", walk(t[1]))
             return ("prod", walk(t[1]), walk(t[2]))
 
-        raw_sub = RawExpr(tuple((c, walk(t)) for c, t in e.terms), target)
-        via_raw = normalize(raw_sub)
+        tagged_sub = TaggedExpr(tuple((c, walk(t)) for c, t in e.terms), target)
+        via_tagged = normalize(parse_tagged(tagged_sub))
         via_normal = substitute(
-            Identity(("x", "y"), normalize(e)),
+            Identity(("x", "y"), normalize(parse_tagged(e))),
             Substitution(tuple(images), target),
         ).poly
-        assert via_raw == via_normal
+        assert via_tagged == via_normal
 
 
 def _named_blocks(ident):

@@ -15,8 +15,9 @@ from homcheck.normalform import (
 from homcheck.identities import CATALOG_NAMES, catalog, polarize
 
 from conftest import (
+    parse_tagged,
     random_monomial,
-    random_raw_expr,
+    random_tagged_expr,
     reference_key,
     shuffled_variant,
 )
@@ -68,7 +69,7 @@ def test_order_is_total_and_consistent_with_keys():
     rng = random.Random(1)
     normal_forms = set()
     for _ in range(200):
-        normal_forms.update(normalize(random_raw_expr(rng)).coeffs)
+        normal_forms.update(normalize(parse_tagged(random_tagged_expr(rng))).coeffs)
     corpora = [normal_forms]
     corpora += [enumerate_monomials(range(4), k) for k in range(3)]
     corpora += [polarize(catalog(name)).poly.coeffs for name in CATALOG_NAMES]
@@ -96,7 +97,7 @@ def test_canon_puts_the_key_smaller_child_left():
     rng = random.Random(4)
     monos = set()
     for _ in range(200):
-        monos.update(normalize(random_raw_expr(rng)).coeffs)
+        monos.update(normalize(parse_tagged(random_tagged_expr(rng))).coeffs)
         degrees = rng.choice([(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1, 1)])
         monos.add(random_monomial(rng, degrees))
     monos.discard(None)
@@ -147,7 +148,7 @@ def test_free_identity_lemma():
 def test_idempotence_corpus():
     rng = random.Random(2)
     for _ in range(1000):
-        p = normalize(random_raw_expr(rng))
+        p = normalize(parse_tagged(random_tagged_expr(rng)))
         text = format_expr(p, ("w", "x", "y", "z"))
         reparsed = parse_expr("vars w,x,y,z; " + text)
         assert normalize(reparsed) == p
@@ -156,5 +157,6 @@ def test_idempotence_corpus():
 def test_confluence_corpus():
     rng = random.Random(3)
     for _ in range(1000):
-        e = random_raw_expr(rng)
-        assert normalize(shuffled_variant(rng, e)) == normalize(e)
+        e = random_tagged_expr(rng)
+        shuffled = shuffled_variant(rng, e)
+        assert normalize(parse_tagged(shuffled)) == normalize(parse_tagged(e))

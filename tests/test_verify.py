@@ -1,7 +1,7 @@
 """The free checks of the paper replay fail when their symmetry is wrong,
 a failed derive fails only its own step, step 9 fails when a premise of
-its single sweep does not hold, and each replay builds its own instance
-streams, sweeps and loads."""
+its single sweep does not hold or a sweep fails, and each replay builds
+its own instance streams, sweeps and loads."""
 
 from homcheck import algebras, consequence, verify
 from homcheck.consequence import SearchBounds
@@ -99,6 +99,23 @@ def test_step_9_checks_the_identity_twist(monkeypatch):
     assert report.steps[8].detail.endswith(
         "; twist=Id premises FAILED: cross3 twist is not Id"
     )
+
+
+def test_step_9_fails_when_a_reads_as_sweep_fails(monkeypatch):
+    # a counterexample to hom_malcev on m7 fails step 9, and only step 9,
+    # although that sweep's verdict is read as malcev's
+    real = verify.check_identity_concrete
+
+    def sweep(spec, ident):
+        if (spec.name, ident.name) == ("m7", "hom_malcev"):
+            return algebras.Counterexample(ident.vars, (1,) * len(ident.vars), {0: 1})
+        return real(spec, ident)
+
+    monkeypatch.setattr(verify, "check_identity_concrete", sweep)
+    report = verify.verify_paper(K0)
+    assert [s.number for s in report.steps if not s.passed] == [9]
+    assert not report.passed
+    assert "m7: hom_malcev=fails, malcev=fails" in report.steps[8].detail
 
 
 def test_step_9_checks_that_malcev_is_the_stripped_hom_malcev(monkeypatch):
