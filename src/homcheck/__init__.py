@@ -25,15 +25,6 @@ from .identities import (
     strip_twist,
     substitute,
 )
-from .consequence import (
-    Certificate,
-    NotInSpan,
-    SearchBounds,
-    derive,
-    enumerate_monomials,
-    generate_instances,
-    span_membership,
-)
 from .algebras import (
     AlgebraError,
     AlgebraSpec,
@@ -43,6 +34,41 @@ from .algebras import (
     load_algebra_file,
     yau_twist,
 )
-from .verify import Report, verify_paper
 
 __version__ = "0.1.0"
+
+
+def _lazy(name):
+    """Submodule ``name``, put in ``sys.modules`` with its body not yet
+    run: the body runs on first attribute access (``LazyLoader``)."""
+    import importlib.util
+    import sys
+
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The derivation engine and the paper replay are registered but not run,
+# so that a command which uses neither never compiles or runs them; their
+# names below are looked up in them on first access.
+consequence, verify = _lazy("consequence"), _lazy("verify")
+_LAZY = dict.fromkeys(
+    ("Certificate", "NotInSpan", "SearchBounds", "derive", "enumerate_monomials",
+     "generate_instances", "span_membership"), "consequence",
+) | dict.fromkeys(("Report", "verify_paper"), "verify")
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_LAZY[name]], name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
+
+__all__ = [name for name in __dir__() if not name.startswith("_")]

@@ -35,14 +35,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from importlib import resources
 
 from .identities import polarize, swap_blocks
 # elements are added like polynomials: both are sparse dicts
-from .normalform import linear_combination as element_add, mono_leaves
+from .normalform import Record, linear_combination as element_add, mono_leaves
 
 BUNDLED = ("cross3", "cross3_rot", "m7", "m7_auto", "abelian4")
 
@@ -51,19 +49,19 @@ class AlgebraError(ValueError):
     """Schema or multiplicativity violation in an algebra document."""
 
 
-@dataclass
-class AlgebraSpec:
-    """Anticommutative algebra with a twisting map, over exact rationals."""
+class AlgebraSpec(Record):
+    """Anticommutative algebra with a twisting map, over exact rationals.
 
-    dim: int
-    basis: tuple
-    product: dict  # (i, j) with i < j -> {k: Fraction}, 0-based
-    twist: tuple   # matrix rows, tuple of tuples of Fraction
-    name: str = None
-    twist_cols: tuple = field(init=False, repr=False)
-    product_table: tuple = field(init=False, repr=False)
+    ``product`` maps (i, j) with i < j to {k: Fraction}, 0-based, and
+    ``twist`` holds the matrix rows, a tuple of tuples of Fraction.
+    """
 
-    def __post_init__(self):
+    _fields = ("dim", "basis", "product", "twist", "name")
+    __hash__ = None
+
+    def __init__(self, dim, basis, product, twist, name=None):
+        self.dim, self.basis, self.product = dim, basis, product
+        self.twist, self.name = twist, name
         cols = []
         for j in range(self.dim):
             col = {r: self.twist[r][j] for r in range(self.dim) if self.twist[r][j]}
@@ -188,6 +186,8 @@ def require_multiplicative(spec):
 def load_bundled(name):
     """Load a bundled algebra by its name in BUNDLED, whatever files the
     working directory holds."""
+    from importlib import resources
+
     data = resources.files("homcheck.data").joinpath(f"{name}.json")
     return load_algebra(json.loads(data.read_text()), name)
 
@@ -258,13 +258,14 @@ def multiply(spec, u, v):
 # ---------------------------------------------------------------------------
 # identity checking and the twisting construction
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """First basis tuple (1-based) where the polarized identity fails."""
 
-    variables: tuple
-    tuple_indices: tuple
-    residual: dict
+    _fields = ("variables", "tuple_indices", "residual")
+
+    def __init__(self, variables, tuple_indices, residual):
+        self.variables, self.tuple_indices = variables, tuple_indices
+        self.residual = residual
 
     def describe(self, spec):
         assignment = ", ".join(

@@ -22,16 +22,15 @@ from .algebras import (
     require_multiplicative,
     yau_twist,
 )
-from .consequence import Certificate, SearchBounds, derive
 from .dsl import ParseError, format_expr, has_vars_header
 from .identities import (
     CATALOG_NAMES,
+    DEFAULT_MAX_ALPHA_POWER,
     catalog,
     identity_from_dsl,
     polarize,
     rename,
 )
-from .verify import verify_paper
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -47,6 +46,8 @@ def _resolve_identity(text):
 
 
 def _bounds(args):
+    from .consequence import SearchBounds
+
     k = args.max_alpha_power
     cap = os.environ.get("HOMCHECK_MAX_K")
     if cap is not None:
@@ -97,6 +98,8 @@ def cmd_polarize(args):
 
 
 def cmd_derive(args):
+    from .consequence import Certificate, derive
+
     target = _resolve_identity(args.target)
     axioms = [_resolve_identity(a) for a in args.axiom]
     bounds = _bounds(args)
@@ -128,6 +131,8 @@ def cmd_derive(args):
 
 
 def cmd_verify_paper(args):
+    from .verify import verify_paper
+
     report = verify_paper(_bounds(args))
     total = len(report.steps)
     lines = [
@@ -195,7 +200,7 @@ def build_parser():
                 "--K",
                 dest="max_alpha_power",
                 type=int,
-                default=SearchBounds().max_alpha_power,
+                default=DEFAULT_MAX_ALPHA_POWER,
                 help="max twist power on substituted leaves",
             )
 

@@ -57,41 +57,38 @@ import itertools
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .identities import (
-    Identity,
+    DEFAULT_MAX_ALPHA_POWER,
     Substitution,
     drop_unused,
     polarize,
     substitute,
     swap_blocks,
 )
-from .normalform import MPoly, mono_leaves, poly_combine
-
-DEFAULT_MAX_ALPHA_POWER = 3
+from .normalform import MPoly, Record, mono_leaves, poly_combine
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(Record):
     """Finite search bounds: twist powers on substituted leaves stay <= K."""
 
-    max_alpha_power: int = DEFAULT_MAX_ALPHA_POWER
+    _fields = ("max_alpha_power",)
 
-    def __post_init__(self):
-        if self.max_alpha_power < 0:
+    def __init__(self, max_alpha_power=DEFAULT_MAX_ALPHA_POWER):
+        if max_alpha_power < 0:
             raise ValueError("max_alpha_power must be >= 0")
+        self.max_alpha_power = max_alpha_power
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """One substitution instance of a named (multilinear) axiom."""
 
-    axiom: str
-    axiom_vars: tuple
-    substitution: Substitution
-    identity: Identity
+    _fields = ("axiom", "axiom_vars", "substitution", "identity")
+
+    def __init__(self, axiom, axiom_vars, substitution, identity):
+        self.axiom, self.axiom_vars = axiom, axiom_vars
+        self.substitution, self.identity = substitution, identity
 
 
 def _weight(images):
@@ -99,8 +96,7 @@ def _weight(images):
     return sum(p for m in images for _, p in mono_leaves(m))
 
 
-@dataclass(frozen=True)
-class NotInSpan:
+class NotInSpan(Record):
     """Negative result *within bounds*: the residual after elimination.
 
     ``derive`` also reports the K from which a larger bound enumerates
@@ -109,21 +105,26 @@ class NotInSpan:
     variables than the target, then those that vanish freely.
     """
 
-    residual: MPoly
-    k_saturated: int = None
-    axioms_skipped: tuple = ()
+    _fields = ("residual", "k_saturated", "axioms_skipped")
+
+    def __init__(self, residual, k_saturated=None, axioms_skipped=()):
+        self.residual, self.k_saturated = residual, k_saturated
+        self.axioms_skipped = axioms_skipped
 
     @property
     def residual_monomials(self):
         return len(self.residual)
 
 
-@dataclass
-class Certificate:
-    """Witness that target.poly equals a combination of axiom instances."""
+class Certificate(Record):
+    """Witness that target.poly equals a combination of axiom instances:
+    ``rows`` is a list of (Instance, Fraction coefficient) pairs."""
 
-    target: Identity
-    rows: list  # of (Instance, Fraction coefficient)
+    _fields = ("target", "rows")
+    __hash__ = None
+
+    def __init__(self, target, rows):
+        self.target, self.rows = target, rows
 
     def replay(self):
         """Recombine the substituted axioms; must equal target.poly exactly."""
@@ -534,8 +535,7 @@ def derive(target, axioms, bounds=None, streams=None):
                 s_v - c_u for s in components for s_v in s
                 for g in grades for c_u in g
             ])
-        result = replace(
-            result, k_saturated=k_saturated,
-            axioms_skipped=tuple(oversized + vanishing),
+        result = NotInSpan(
+            result.residual, k_saturated, tuple(oversized + vanishing)
         )
     return result, target

@@ -51,10 +51,9 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .normalform import mono_leaves, shift_power
+from .normalform import Record, mono_leaves, shift_power
 
 RESERVED = {"a", "a2", "J", "G", "vars"}
 
@@ -72,8 +71,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class RawExpr:
+class RawExpr(Record):
     """A linear combination of raw terms over a shared variable table.
 
     ``terms`` holds (coefficient, raw term) pairs with nonzero
@@ -82,8 +80,10 @@ class RawExpr:
     ``vars`` maps variable index to name.
     """
 
-    terms: tuple
-    vars: tuple
+    _fields = ("terms", "vars")
+
+    def __init__(self, terms, vars):
+        self.terms, self.vars = terms, vars
 
     def __len__(self):
         return len(self.terms)
@@ -419,7 +419,8 @@ def format_monomial(mono, names):
     (n, left, right) of n leaves, see normalform."""
     if mono[0] == 1:
         return _fmt_leaf(names[mono[1]], mono[2])
-    left, right = (format_monomial(c, names) for c in mono[1:])
+    # one call per child, so a level of the tree costs one frame
+    left, right = format_monomial(mono[1], names), format_monomial(mono[2], names)
     if mono[1][0] != 1:
         left = f"({left})"
     if mono[2][0] != 1:
@@ -432,8 +433,10 @@ def format_expr(obj, names=None):
 
     A RawExpr prints its terms as parsed, with the twists on the leaves
     (``a(x*y)`` prints as ``a(x)*a(y)``).  The output re-parses to an
-    expression with the same normal form.  For an MPoly the variable
-    name table must be supplied.
+    expression with the same normal form, unless it nests parentheses
+    deeper than the parser's recursion allows: about 330 levels, while
+    printing takes one frame per level and reaches about 990.  For an
+    MPoly the variable name table must be supplied.
     """
     if isinstance(obj, RawExpr):
         names, terms = obj.vars, obj.terms

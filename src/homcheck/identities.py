@@ -16,10 +16,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from .dsl import MAX_RAW_TERMS, NAMED, format_monomial, named, parse_expr
 from .normalform import (
+    Record,
     canon,
     canon_sum,
     map_leaves,
@@ -30,13 +30,18 @@ from .normalform import (
 )
 
 
-@dataclass(frozen=True)
-class Identity:
+# The default bound K on the twist powers of substituted leaves, for
+# consequence.SearchBounds and the CLI's --K.
+DEFAULT_MAX_ALPHA_POWER = 3
+
+
+class Identity(Record):
     """An MPoly asserted to be identically zero, with its variable table."""
 
-    vars: tuple
-    poly: MPoly
-    name: str = None
+    _fields = ("vars", "poly", "name")
+
+    def __init__(self, vars, poly, name=None):
+        self.vars, self.poly, self.name = vars, poly, name
 
     @property
     def degrees(self):
@@ -56,12 +61,14 @@ def identity_from_dsl(text, name=None):
     return Identity(expr.vars, normalize(expr), name)
 
 
-@dataclass(frozen=True)
-class Substitution:
-    """Monomial images for every axiom variable, over a target variable table."""
+class Substitution(Record):
+    """Monomial images for every axiom variable, over a target variable table:
+    ``images`` holds one canonical monomial per axiom variable position."""
 
-    images: tuple  # canonical Monomial per axiom variable position
-    target_vars: tuple
+    _fields = ("images", "target_vars")
+
+    def __init__(self, images, target_vars):
+        self.images, self.target_vars = images, target_vars
 
     def as_strings(self, axiom_vars):
         return {

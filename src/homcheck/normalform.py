@@ -159,6 +159,33 @@ class MPoly:
         return f"MPoly({len(self.coeffs)} terms)"
 
 
+class Record:
+    """Base of the package's plain value classes.
+
+    A subclass names its fields in ``_fields`` and sets them in its
+    ``__init__``.  Records are equal when they have the same class and
+    equal fields, and hash their fields, except in a class that sets
+    ``__hash__ = None`` because its fields may change.
+    """
+
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 def normalize(expr):
     """Normal form of a RawExpr, whose raw terms are product trees over
     canonical leaves: sign ordering and collection."""

@@ -34,7 +34,6 @@ directory, and step 9 sweeps hom_malcev once per algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 
 from .algebras import check_identity_concrete, load_bundled
@@ -46,6 +45,7 @@ from .identities import (
     strip_twist,
     swap_blocks,
 )
+from .normalform import Record
 
 NO_AXIOMS = "normal-form check, no axioms"
 
@@ -98,13 +98,14 @@ PROOF = (
 )
 
 
-@dataclass
-class Step:
-    number: int
-    title: str
-    passed: bool
-    detail: str = ""
-    certificates: list = field(default_factory=list)
+class Step(Record):
+    _fields = ("number", "title", "passed", "detail", "certificates")
+    __hash__ = None
+
+    def __init__(self, number, title, passed, detail="", certificates=None):
+        self.number, self.title, self.passed = number, title, passed
+        self.detail = detail
+        self.certificates = [] if certificates is None else certificates
 
     def to_obj(self):
         obj = {
@@ -118,9 +119,12 @@ class Step:
         return obj
 
 
-@dataclass
-class Report:
-    steps: list
+class Report(Record):
+    _fields = ("steps",)
+    __hash__ = None
+
+    def __init__(self, steps):
+        self.steps = steps
 
     @property
     def passed(self):

@@ -84,6 +84,28 @@ def test_deep_nesting_is_usage(capsys):
         assert "Traceback" not in err
 
 
+def test_deep_product_prints(capsys):
+    # printing takes one frame per tree level, so a product the parser
+    # and the normal form accept also prints
+    factors = ["x", "y"] * 350
+    code, out, err = run(capsys, "normalize", "*".join(factors))
+    assert (code, err) == (0, "")
+    assert sorted(out.replace("(", "").replace(")", "").strip().split("*")) == sorted(
+        factors
+    )
+
+
+def test_commands_load_only_what_they_use():
+    # tests/startup_check.py in a fresh interpreter without site: normalize
+    # and check leave the derivation engine and the replay not run
+    script = os.path.join(os.path.dirname(__file__), "startup_check.py")
+    done = subprocess.run(
+        [sys.executable, "-S", script],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+
 def test_unknown_subcommand_is_usage(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["check", "m7", "hom_malcev", "--jobs", "2"]) == 2
