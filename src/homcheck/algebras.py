@@ -38,7 +38,6 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .identities import polarize, swap_blocks
 # elements are added like polynomials: both are sparse dicts
 from .normalform import Record, linear_combination as element_add, mono_leaves
 
@@ -294,22 +293,23 @@ def check_identity_concrete(spec, ident):
     verdict is about the identity as written only when spec's twist is
     multiplicative (``spec.is_multiplicative()`` is None).
 
-    ``swap_blocks`` finds the blocks of variables under whose
-    transpositions the normal form f is symmetric or antisymmetric; it
-    compares exact normal forms, so each block is a symmetry of the free
-    algebra and not of this one algebra only.  Within each block, taken
-    left to right, a tuple is visited only if its indices do not
-    decrease, or strictly increase in an antisymmetric block: the
-    lexicographically least tuple of its orbit.  This cannot change the
-    result.  The sweep evaluates f itself, and the normal form uses only
-    anticommutativity, so f(s t) = +-f(t) for every swap s of a block in
-    every anticommutative algebra, multiplicative or not.  The failing
-    tuples are therefore a union of orbits, and the least failing tuple
-    is the least of its orbit, so it is visited and its residual is
-    computed as before.  A tuple with equal indices on an antisymmetric
-    pair gives f = -f, so f = 0 over the rationals, and it is skipped.
-    A declared variable that f does not contain takes only index 0: f
-    does not depend on it, so the least failing tuple has index 0 there.
+    The polarized identity's ``swap_blocks`` attribute holds the blocks
+    of variables under whose transpositions the normal form f is
+    symmetric or antisymmetric; they come from exact normal forms, so
+    each block is a symmetry of the free algebra and not of this one
+    algebra only.  Within each block, taken left to right, a tuple is
+    visited only if its indices do not decrease, or strictly increase in
+    an antisymmetric block: the lexicographically least tuple of its
+    orbit.  This cannot change the result.  The sweep evaluates f itself,
+    and the normal form uses only anticommutativity, so f(s t) = +-f(t)
+    for every swap s of a block in every anticommutative algebra,
+    multiplicative or not.  The failing tuples are therefore a union of
+    orbits, and the least failing tuple is the least of its orbit, so it
+    is visited and its residual is computed as before.  A tuple with
+    equal indices on an antisymmetric pair gives f = -f, so f = 0 over
+    the rationals, and it is skipped.  A declared variable that f does
+    not contain takes only index 0: f does not depend on it, so the
+    least failing tuple has index 0 there.
 
     The sweep runs in integers, over ``spec.integer_form``: a monomial
     with L leaves and twist powers summing to P evaluates to
@@ -322,7 +322,7 @@ def check_identity_concrete(spec, ident):
     over variable set S is computed at most dim^|S| times, the root once
     per visited tuple.
     """
-    ident = polarize(ident)
+    ident = ident.polarized
     terms = ident.poly.sorted_terms()
     dp, dt, table, cols = spec.integer_form
     leaf_lists = [list(mono_leaves(mono)) for mono, _ in terms]
@@ -343,7 +343,7 @@ def check_identity_concrete(spec, ident):
     # at least gap, for consecutive positions p < q of one block
     steps = [
         (p, q, 1 if sign < 0 else 0)
-        for positions, sign in swap_blocks(ident)
+        for positions, sign in ident.swap_blocks
         for p, q in zip(positions, positions[1:])
     ]
     ranges = [range(spec.dim if d else 1) for d in ident.degrees]

@@ -28,7 +28,6 @@ from .identities import (
     DEFAULT_MAX_ALPHA_POWER,
     catalog,
     identity_from_dsl,
-    polarize,
     rename,
 )
 
@@ -51,6 +50,10 @@ def _bounds(args):
     k = args.max_alpha_power
     cap = os.environ.get("HOMCHECK_MAX_K")
     if cap is not None:
+        if not cap.strip().isdecimal():
+            raise ValueError(
+                f"HOMCHECK_MAX_K must be a non-negative integer, not {cap!r}"
+            )
         cap = int(cap)
         if k > cap:
             print(
@@ -69,7 +72,7 @@ def cmd_normalize(args):
     ident = identity_from_dsl(args.expr)
     if not has_vars_header(args.expr):
         # stable display order when the input does not pin one
-        ident = rename(ident, {}, sorted(ident.vars))
+        ident = rename(ident, sorted(ident.vars))
     out = format_expr(ident.poly, ident.vars)
     _emit(args, {"input": args.expr, "normal_form": out, "vars": list(ident.vars)}, out)
     return EXIT_OK
@@ -81,13 +84,13 @@ def cmd_equal(args):
     # variable order (so its indices stay valid) extended by the second's
     # new variables
     names = i1.vars + tuple(v for v in i2.vars if v not in i1.vars)
-    equal = i1.poly == rename(i2, {}, names).poly
+    equal = i1.poly == rename(i2, names).poly
     _emit(args, {"equal": equal}, "equal" if equal else "not equal")
     return EXIT_OK if equal else EXIT_NEGATIVE
 
 
 def cmd_polarize(args):
-    ident = polarize(_resolve_identity(args.identity))
+    ident = _resolve_identity(args.identity).polarized
     out = format_expr(ident.poly, ident.vars)
     _emit(
         args,

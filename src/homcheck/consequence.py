@@ -37,8 +37,12 @@ gives each target variable v of m the number c_u + grade_m(v), so every
 instance of a graded axiom is homogeneous, and the span splits into one
 summand per grade vector.  The target's components are the grade vectors
 of its monomials; only instances in a component can reduce the target,
-and the residual modulo the span is unique.  So when every axiom is
-graded, ``derive`` enumerates only the picks that land in a component.
+and the residual modulo the span is unique.  Both are part of an
+identity's prepared form: ``derive`` reads each polarized axiom's
+``grades`` and the polarized target's ``components`` (see
+``identities.Identity``), which are computed once per identity.  So when
+every axiom is graded, ``derive`` enumerates only the picks that land in
+a component.
 For each block assignment that is one lookup: every component gives one
 row of the grades each axiom variable's monomial must give its block,
 and a pick is kept when its row of grades is one of them.  Residuals,
@@ -47,8 +51,8 @@ NotInSpan result costs as many substitutions as there are such picks
 in the block assignments substituted.  If any axiom is ungraded, every
 axiom's instances are enumerated (an ungraded instance can mix a
 component with another grade, which a graded instance outside the
-components may cancel).  Identical inputs
-produce identical certificates.
+components may cancel).  Identical inputs produce identical
+certificates.
 """
 
 from __future__ import annotations
@@ -63,11 +67,9 @@ from .identities import (
     DEFAULT_MAX_ALPHA_POWER,
     Substitution,
     drop_unused,
-    polarize,
     substitute,
-    swap_blocks,
 )
-from .normalform import MPoly, Record, mono_leaves, poly_combine
+from .normalform import MPoly, Record, leaf_grades, mono_leaves, poly_combine
 
 
 class SearchBounds(Record):
@@ -233,37 +235,7 @@ class _LazySequence(Sequence):
         return self._items[index]
 
 
-def _leaf_grades(mono, depth=0):
-    # (variable, depth + twist power) for every leaf, left to right
-    if mono[0] == 1:
-        yield mono[1], depth + mono[2]
-    else:
-        yield from _leaf_grades(mono[1], depth + 1)
-        yield from _leaf_grades(mono[2], depth + 1)
-
-
-def axiom_grades(axiom):
-    """The grade c_u of each axiom variable u, as a tuple, or None when
-    some variable occurs with two different values of depth + twist
-    power (or does not occur at all)."""
-    pairs = {leaf for mono in axiom.poly.coeffs for leaf in _leaf_grades(mono)}
-    grades = dict(pairs)
-    if not len(pairs) == len(grades) == len(axiom.vars):
-        return None
-    return tuple(grades[u] for u in range(len(axiom.vars)))
-
-
-def target_components(target):
-    """The graded components of a polarized target: the set of grade
-    vectors (one entry per target variable) of its monomials.  A monomial
-    that misses a target variable forms no component, since every
-    instance contains every target variable."""
-    n = len(target.vars)
-    rows = (dict(_leaf_grades(mono)) for mono in target.poly.coeffs)
-    return {tuple(g[v] for v in range(n)) for g in rows if len(g) == n}
-
-
-def generate_instances(axiom, target_vars, bounds=None, target=None):
+def generate_instances(axiom, target_vars, bounds=None, components=None):
     """Substitution instances of a multilinear axiom over the target
     variables, deduplicated up to overall rational scaling, as a lazy
     sequence in weight order.
@@ -291,12 +263,12 @@ def generate_instances(axiom, target_vars, bounds=None, target=None):
     24 for identity_1_2 and eq_2_2 to eq_2_5 (two swap blocks of two), and
     1 of 6 for hom_jacobi (antisymmetric in all three variables).
 
-    With ``target=None`` every instance comes.  Given the polarized
-    target (an Identity over ``target_vars``) and a graded axiom, only
-    the picks whose instance lands in a component of the target come, in
-    the same relative order; an ungraded axiom ignores ``target``.
-    Filtering is sound only when every axiom of the span is graded, which
-    ``derive`` checks before it passes the target.
+    With ``components=None`` every instance comes.  Given the components
+    of the polarized target over ``target_vars`` (its ``components``) and
+    a graded axiom, only the picks whose instance lands in one of them
+    come, in the same relative order; an ungraded axiom ignores
+    ``components``.  Filtering is sound only when every axiom of the span
+    is graded, which ``derive`` checks before it passes the components.
     """
     bounds = bounds or SearchBounds()
     target_vars = tuple(target_vars)
@@ -307,12 +279,7 @@ def generate_instances(axiom, target_vars, bounds=None, target=None):
         raise ValueError(
             f"axiom has {b} variables but the target only {n}"
         )
-    grades = components = None
-    if target is not None:
-        if target.vars != target_vars:
-            raise ValueError("target must be over the target variables")
-        grades = axiom_grades(axiom)
-        components = target_components(target)
+    grades = None if components is None else axiom.grades
     return _LazySequence(_instances(
         axiom, target_vars, bounds.max_alpha_power, grades, components
     ))
@@ -325,7 +292,7 @@ def _instances(axiom, target_vars, max_alpha_power, grades, components):
     # are +-1 times its own (see generate_instances).
     steps = [
         (p, q)
-        for positions, _ in swap_blocks(axiom)
+        for positions, _ in axiom.swap_blocks
         for p, q in zip(positions, positions[1:])
     ]
     levels = {}  # twist weight -> picks, in enumeration order
@@ -336,7 +303,7 @@ def _instances(axiom, target_vars, max_alpha_power, grades, components):
             # a monomial's grades on its block, in variable order (the
             # order in which a block lists its variables)
             mono_grade = {
-                m: tuple(g for _, g in sorted(_leaf_grades(m)))
+                m: tuple(g for _, g in sorted(leaf_grades(m)))
                 for monos in choices for m in monos
             }
         for perm in itertools.permutations(range(len(part))):
@@ -473,25 +440,25 @@ def derive(target, axioms, bounds=None, streams=None):
     """End-to-end consequence check: polarize target and axioms as
     needed, enumerate instances, decide span membership.
 
-    ``axioms`` is a sequence of named Identities.  Once polarized, the
-    target and each axiom lose the variables they do not contain, so a
-    freely vanishing axiom contributes no instances, nor does an axiom
-    with more variables than the target; both are named in
-    ``axioms_skipped``.  The instances of all axioms, in axiom order,
-    form one lazy sequence, so generation stops at the first instance
-    that certifies the target.
-    When every remaining axiom is graded, each enumerates only the picks
-    that land in a component of the polarized target; otherwise all
-    instances up to K are enumerated.  Either way the result is the same.
+    ``axioms`` is a sequence of named Identities.  Each identity's
+    ``polarized`` form is read, and then the target and each axiom lose
+    the variables they do not contain, so a freely vanishing axiom
+    contributes no instances, nor does an axiom with more variables than
+    the target; both are named in ``axioms_skipped``.  The instances of
+    all axioms, in axiom order, form one lazy sequence, so generation
+    stops at the first instance that certifies the target.  When every
+    remaining axiom is graded, each enumerates only the picks that land
+    in a component of the polarized target; otherwise all instances up
+    to K are enumerated.  Either way the result is the same.
 
     ``streams``, when given, is a dict the caller owns, in which each
-    axiom's lazy instance sequence is kept under everything that sequence
-    depends on: the axiom's name, variables and polarized polynomial, the
-    target's variables, the frozenset of its components (None on the
-    ungraded path) and K.  Derives passed the same dict then read one
-    sequence, each only as far as it needs, and get the results a fresh
-    enumeration gives.  A derive that raised may leave a sequence cut
-    short, so drop the dict after an exception.
+    axiom's lazy instance sequence is kept under everything that
+    sequence depends on: the prepared axiom (an Identity hashes its
+    variables, polynomial and name), the target's variables, its
+    ``components`` (None on the ungraded path) and K.  Derives passed the
+    same dict then read one sequence, each only as far as it needs, and
+    get the results a fresh enumeration gives.  A derive that raised may
+    leave a sequence cut short, so drop the dict after an exception.
 
     Returns (result, polarized_target) where result is a Certificate or
     NotInSpan; a NotInSpan carries ``k_saturated`` (None on the ungraded
@@ -500,28 +467,25 @@ def derive(target, axioms, bounds=None, streams=None):
     bounds = bounds or SearchBounds()
     if target.degrees is None:
         raise ValueError("target must be multihomogeneous")
-    target = drop_unused(polarize(target))
+    target = drop_unused(target.polarized)
     used, oversized, vanishing = [], [], []
     for axiom in axioms:
-        ax = drop_unused(polarize(axiom))
+        ax = drop_unused(axiom.polarized)
         if len(ax.vars) > len(target.vars):
             oversized.append(ax.name or "axiom")
         elif ax.poly.is_zero:
             vanishing.append(ax.name or "axiom")
         else:
             used.append(ax)
-    grades = [axiom_grades(ax) for ax in used]
+    grades = [ax.grades for ax in used]
     graded = None not in grades
-    components = frozenset(target_components(target)) if graded else None
+    components = target.components if graded else None
     lazy = []
     for ax in used:
-        key = (ax.name, ax.vars, ax.poly, target.vars, components,
-               bounds.max_alpha_power)
+        key = (ax, target.vars, components, bounds.max_alpha_power)
         stream = None if streams is None else streams.get(key)
         if stream is None:
-            stream = generate_instances(
-                ax, target.vars, bounds, target if graded else None
-            )
+            stream = generate_instances(ax, target.vars, bounds, components)
             if streams is not None:
                 streams[key] = stream
         lazy.append(stream)

@@ -22,6 +22,7 @@ from .normalform import (
     Record,
     canon,
     canon_sum,
+    leaf_grades,
     map_leaves,
     multidegree,
     normalize,
@@ -36,14 +37,20 @@ DEFAULT_MAX_ALPHA_POWER = 3
 
 
 class Identity(Record):
-    """An MPoly asserted to be identically zero, with its variable table."""
+    """An MPoly asserted to be identically zero, with its variable table.
+
+    Its prepared form (degrees, polarization, swap blocks, grades and
+    components) depends on the identity alone, so each part is computed
+    on first use and kept on the object.  None of them is a field:
+    equality, hashing and repr read only vars, poly and name.
+    """
 
     _fields = ("vars", "poly", "name")
 
     def __init__(self, vars, poly, name=None):
         self.vars, self.poly, self.name = vars, poly, name
 
-    @property
+    @functools.cached_property
     def degrees(self):
         """Multidegree tuple, or None when not multihomogeneous."""
         return multidegree(self.poly, len(self.vars))
@@ -51,6 +58,70 @@ class Identity(Record):
     @property
     def is_multilinear(self):
         return self.degrees == (1,) * len(self.vars)
+
+    @functools.cached_property
+    def polarized(self):
+        """``polarize(self)``; raises its ValueError on every read."""
+        return polarize(self)
+
+    @functools.cached_property
+    def swap_blocks(self):
+        """Blocks of variable positions under whose transpositions the
+        identity is symmetric (sign 1) or antisymmetric (sign -1), as a
+        tuple of (positions, sign) pairs; variables in no block are left
+        out.
+
+        Each transposition renames the variables of every monomial of the
+        normal form, which is compared exactly with +poly and -poly, so a
+        block is a symmetry of the free algebra.  Renaming is a bijection
+        on canonical monomials (up to the sign ``canon`` finds), so no two
+        renamed monomials meet, and the swap has sign t exactly when each
+        renamed monomial, signed, has t times its coefficient in the
+        polynomial.  t is read off the first monomial, and the check stops
+        at the first monomial that does not match.  If (i j) and (j k) are
+        symmetries, so is (i k) = (i j)(j k)(i j), and all three have one
+        sign unless the polynomial is zero.  So the swaps form cliques:
+        the block of its first position i is i with every j for which
+        (i j) is a symmetry, and a position already in a block is not
+        tried again.  The zero polynomial matches every swap with sign 1.
+        """
+        n = len(self.vars)
+        blocks, seen = [], set()
+        for i in range(n):
+            if i in seen:
+                continue
+            block, sign = [i], 1
+            for j in range(i + 1, n):
+                if j not in seen:
+                    s = _swap_sign(self.poly.coeffs, i, j)
+                    if s is not None:
+                        block.append(j)
+                        sign = s
+            if len(block) > 1:
+                seen.update(block)
+                blocks.append((tuple(block), sign))
+        return tuple(blocks)
+
+    @functools.cached_property
+    def grades(self):
+        """The grade c_u of each variable u, the depth + twist power of
+        all its leaves, as a tuple; None when some variable occurs with
+        two different values (or does not occur at all)."""
+        pairs = {leaf for mono in self.poly.coeffs for leaf in leaf_grades(mono)}
+        grades = dict(pairs)
+        if not len(pairs) == len(grades) == len(self.vars):
+            return None
+        return tuple(grades[u] for u in range(len(self.vars)))
+
+    @functools.cached_property
+    def components(self):
+        """The graded components of a multilinear identity: the frozenset
+        of grade vectors (one entry per variable) of its monomials.  A
+        monomial that misses a variable forms no component, since every
+        instance over these variables contains every one of them."""
+        n = len(self.vars)
+        rows = (dict(leaf_grades(mono)) for mono in self.poly.coeffs)
+        return frozenset(tuple(g[v] for v in range(n)) for g in rows if len(g) == n)
 
     def __repr__(self):
         return f"Identity({self.name or '?'}, vars={self.vars}, {len(self.poly)} terms)"
@@ -99,48 +170,12 @@ def substitute(ident, sub):
     )
 
 
-def rename(ident, mapping, target_vars):
-    """Substitute variables for variables; mapping is name -> name."""
+def rename(ident, target_vars):
+    """The identity over the variable table ``target_vars``, which holds
+    each of its variable names."""
     index = {v: i for i, v in enumerate(target_vars)}
-    images = tuple((1, index[mapping.get(v, v)], 0) for v in ident.vars)
+    images = tuple((1, index[v], 0) for v in ident.vars)
     return substitute(ident, Substitution(images, tuple(target_vars)))
-
-
-def swap_blocks(ident):
-    """Blocks of variable positions under whose transpositions ``ident``
-    is symmetric (sign 1) or antisymmetric (sign -1), as a tuple of
-    (positions, sign) pairs; variables in no block are left out.
-
-    Each transposition renames the variables of every monomial of the
-    normal form, which is compared exactly with +poly and -poly, so a
-    block is a symmetry of the free algebra.  Renaming is a bijection on
-    canonical monomials (up to the sign ``canon`` finds), so no two
-    renamed monomials meet, and the swap has sign t exactly when each
-    renamed monomial, signed, has t times its coefficient in the
-    polynomial.  t is read off the first monomial, and the check stops at
-    the first monomial that does not match.  If (i j) and (j k) are
-    symmetries, so is (i k) = (i j)(j k)(i j), and all three have one
-    sign unless the polynomial is zero.  So the swaps form cliques: the
-    block of its first position i is i with every j for which (i j) is a
-    symmetry, and a position already in a block is not tried again.  The
-    zero polynomial matches every swap with sign 1.
-    """
-    n = len(ident.vars)
-    blocks, seen = [], set()
-    for i in range(n):
-        if i in seen:
-            continue
-        block, sign = [i], 1
-        for j in range(i + 1, n):
-            if j not in seen:
-                s = _swap_sign(ident.poly.coeffs, i, j)
-                if s is not None:
-                    block.append(j)
-                    sign = s
-        if len(block) > 1:
-            seen.update(block)
-            blocks.append((tuple(block), sign))
-    return tuple(blocks)
 
 
 def _swap_sign(coeffs, i, j):

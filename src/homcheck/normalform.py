@@ -25,8 +25,6 @@ ordering and collection.  This module imports nothing from ``dsl``.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def mono_leaves(mono):
     """Yield the (var, power) leaves left to right."""
@@ -35,6 +33,15 @@ def mono_leaves(mono):
     else:
         yield from mono_leaves(mono[1])
         yield from mono_leaves(mono[2])
+
+
+def leaf_grades(mono, depth=0):
+    """Yield (var, depth + twist power) for every leaf, left to right."""
+    if mono[0] == 1:
+        yield mono[1], depth + mono[2]
+    else:
+        yield from leaf_grades(mono[1], depth + 1)
+        yield from leaf_grades(mono[2], depth + 1)
 
 
 def canon(tree):
@@ -144,12 +151,6 @@ class MPoly:
     def sorted_terms(self):
         """(monomial, coefficient) pairs in monomial order."""
         return sorted(self.coeffs.items())
-
-    def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
-            return MPoly()
-        return MPoly({m: c * v for m, v in self.coeffs.items()})
 
     def leading(self):
         """(monomial, coefficient) at the smallest monomial; None if zero."""

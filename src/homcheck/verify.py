@@ -38,13 +38,7 @@ from functools import cache
 
 from .algebras import check_identity_concrete, load_bundled
 from .consequence import Certificate, SearchBounds, derive
-from .identities import (
-    catalog,
-    identity_from_dsl,
-    polarize,
-    strip_twist,
-    swap_blocks,
-)
+from .identities import catalog, identity_from_dsl, strip_twist
 from .normalform import Record
 
 NO_AXIOMS = "normal-form check, no axioms"
@@ -157,7 +151,7 @@ class _Run:
 
     def _free(self, src, blocks, detail, failed=None):
         ident = self.identity(src)
-        ok = ident.poly.is_zero if blocks is None else swap_blocks(ident) == blocks
+        ok = ident.poly.is_zero if blocks is None else ident.swap_blocks == blocks
         return ok, detail if ok or failed is None else failed
 
     def _derive(self, target, axiom, label=""):
@@ -177,8 +171,8 @@ class _Run:
         return ok, f"{label} {'ok' if ok else 'FAILED'}"
 
     def _stripped(self, src, plain):
-        stripped = polarize(strip_twist(self.identity(src)))
-        if stripped.poly != polarize(self.identity(plain)).poly:
+        stripped = strip_twist(self.identity(src)).polarized
+        if stripped.poly != self.identity(plain).polarized.poly:
             self.premises.append(f"strip_twist({src}) is not {plain}")
         return True, ""
 

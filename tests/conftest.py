@@ -26,6 +26,12 @@ def child_env(**extra):
     )
 
 
+def scaled(poly, c):
+    """The MPoly ``c * poly``."""
+    c = Fraction(c)
+    return MPoly({m: c * v for m, v in poly.coeffs.items()})
+
+
 def random_coeff(rng):
     num = rng.choice([n for n in range(-4, 5) if n])
     return Fraction(num, rng.randint(1, 4))
@@ -205,22 +211,55 @@ def reference_swap_blocks(ident):
     return tuple(blocks)
 
 
-def reference_instances(axiom, target_vars, k, target=None):
+def reference_leaf_depths(mono):
+    """{variable: [depth + twist power of each of its leaves]}, from an
+    explicit stack of (subtree, depth) pairs."""
+    out, todo = {}, [(mono, 0)]
+    while todo:
+        node, depth = todo.pop()
+        if node[0] == 1:
+            out.setdefault(node[1], []).append(depth + node[2])
+        else:
+            todo += [(node[1], depth + 1), (node[2], depth + 1)]
+    return out
+
+
+def reference_grades(ident):
+    """Identity.grades: the one depth + twist power that every leaf of a
+    variable has, per variable, or None."""
+    values = [set() for _ in ident.vars]
+    for mono in ident.poly.coeffs:
+        for v, depths in reference_leaf_depths(mono).items():
+            values[v].update(depths)
+    if any(len(vals) != 1 for vals in values):
+        return None
+    return tuple(min(vals) for vals in values)
+
+
+def reference_components(ident):
+    """Identity.components of a multilinear identity: the grade vectors
+    of the monomials that contain every variable."""
+    n, out = len(ident.vars), set()
+    for mono in ident.poly.coeffs:
+        depths = reference_leaf_depths(mono)
+        if sorted(depths) == list(range(n)):
+            out.add(tuple(depths[v][0] for v in range(n)))
+    return out
+
+
+def reference_instances(axiom, target_vars, k, components=None):
     """The instance stream of generate_instances, built by substituting
     every block permutation and letting the scaling dedup drop the
     repeats, as a list."""
     target_vars = tuple(target_vars)
-    grades = components = None
-    if target is not None:
-        grades = consequence.axiom_grades(axiom)
-        components = consequence.target_components(target)
+    grades = None if components is None else reference_grades(axiom)
     levels = {}  # twist weight -> picks, in enumeration order
     for part in consequence._set_partitions(range(len(target_vars)), len(axiom.vars)):
         choices = [consequence.enumerate_monomials(block, k) for block in part]
         mono_weight = {m: consequence._weight((m,)) for monos in choices for m in monos}
         if grades is not None:
             mono_grade = {
-                m: tuple(g for _, g in sorted(consequence._leaf_grades(m)))
+                m: tuple(d for _, (d,) in sorted(reference_leaf_depths(m).items()))
                 for monos in choices for m in monos
             }
         for perm in itertools.permutations(range(len(part))):

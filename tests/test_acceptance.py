@@ -38,6 +38,7 @@ from conftest import (
     random_coeff,
     random_monomial,
     random_tagged_expr,
+    scaled,
 )
 from test_algebras import _random_spec
 
@@ -222,7 +223,7 @@ def _suite_polarize_factor():
         factor = 1
         for d in degrees:
             factor *= math.factorial(d)
-        if back != poly.scale(factor):
+        if back != scaled(poly, factor):
             return False
         cases += 1
     return True

@@ -26,7 +26,6 @@ from homcheck.identities import (
     identity_from_dsl,
     polarize,
     strip_twist,
-    swap_blocks,
 )
 from homcheck.normalform import (
     mono_leaves,
@@ -422,18 +421,18 @@ def test_symmetry_reduced_sweep_matches_reference_sweep():
             ident = random_multilinear(rng)
             poly = poly_combine([(1, ident.poly), (sign, swapped(ident, i, j).poly)])
             idents.append(Identity(ident.vars, poly))
-            assert any({i, j} <= set(b) for b, _ in swap_blocks(idents[-1]))
+            assert any({i, j} <= set(b) for b, _ in idents[-1].swap_blocks)
     ident = random_multilinear(rng)
     sym = poly_combine([(1, ident.poly), (1, swapped(ident, 0, 2).poly)])
     sym = Identity(ident.vars, sym)
     two = poly_combine([(1, sym.poly), (-1, swapped(sym, 1, 3).poly)])
     idents.append(Identity(ident.vars, two))
-    assert len(swap_blocks(idents[-1])) == 2
+    assert len(idents[-1].swap_blocks) == 2
     idents.append(identity_from_dsl("J(w*x,a(y),a(z))"))
     # the partner sum of first child w, x*(y*z) - y*(x*z), vanishes where
     # x = y, and no swap symmetry skips those tuples
     partner_vanishes = identity_from_dsl(VANISHING_PARTNER_CASE)
-    assert swap_blocks(partner_vanishes) == ()
+    assert partner_vanishes.swap_blocks == ()
     idents.append(partner_vanishes)
     # top monomials that are leaves, or products of two leaves
     idents.extend(identity_from_dsl(text) for text in ("a(x) - x", "a(x)*y + x*a(y)"))

@@ -232,6 +232,17 @@ def test_max_k_env_cap(capsys, monkeypatch):
     assert err.count("capped to 0") == 1
 
 
+def test_max_k_env_must_be_a_non_negative_integer(capsys, monkeypatch):
+    for value in ("abc", "-1"):
+        monkeypatch.setenv("HOMCHECK_MAX_K", value)
+        for argv in (("verify-paper",),
+                     ("derive", "--target", "eq_2_2", "--axiom", "hom_malcev")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == ("error: HOMCHECK_MAX_K must be a non-negative "
+                           f"integer, not {value!r}\n")
+
+
 def test_check_holds_and_counterexample(capsys):
     code, out, _ = run(capsys, "check", "m7", "hom_malcev")
     assert code == 0 and out.strip() == "Holds"

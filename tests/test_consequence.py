@@ -7,7 +7,7 @@ import sys
 import pytest
 from fractions import Fraction
 
-from homcheck import consequence
+from homcheck import consequence, identities
 from homcheck.consequence import (
     Certificate,
     Instance,
@@ -29,7 +29,7 @@ from homcheck.identities import (
 )
 from homcheck.normalform import MPoly, canon, poly_combine
 
-from conftest import child_env, reference_instances, reference_key
+from conftest import child_env, reference_instances, reference_key, scaled
 
 K0 = SearchBounds(0)
 K1 = SearchBounds(1)
@@ -318,18 +318,18 @@ STREAM_TARGETS = (
 def test_instance_stream_equals_all_permutations_reference(name):
     # one block permutation per orbit of the axiom's swap blocks gives the
     # stream that substituting all of them gives; eq_2_2's blocks (w y)
-    # and (x z) are not adjacent, malcev is ungraded and ignores target
+    # and (x z) are not adjacent, malcev is ungraded and ignores components
     axiom = polarize(catalog(name))
-    graded = consequence.axiom_grades(axiom) is not None
+    graded = axiom.grades is not None
     full_k = 1 if name == "eq_2_2" else 0
     for text in STREAM_TARGETS:
         target = polarize(identity_from_dsl(text))
         for k in range(3):
-            # an ungraded axiom ignores the target, so it gets one at K=0
+            # an ungraded axiom ignores components, so it gets them at K=0
             # only; a full enumeration over five variables substitutes up
             # to 24 * 10 * 3^5 picks at K=2, so it runs to K=0, or to K=1
             # for eq_2_2
-            givens = [target] if graded or k == 0 else []
+            givens = [target.components] if graded or k == 0 else []
             if len(target.vars) == 4 or k <= full_k:
                 givens.append(None)
             for given in givens:
@@ -361,6 +361,33 @@ def count_substitute(monkeypatch):
 
     monkeypatch.setattr(consequence, "substitute", counting)
     return calls
+
+
+def test_derives_prepare_each_identity_once(monkeypatch):
+    # the polarized form and the swap blocks are kept on the identity, so
+    # a second derive of the same target from the same axiom polarizes
+    # nothing and searches no swap block again
+    polarized, swaps = [], []
+    real_polarize, real_swap_sign = identities.polarize, identities._swap_sign
+
+    def counting_polarize(ident):
+        polarized.append(id(ident))
+        return real_polarize(ident)
+
+    def counting_swap_sign(coeffs, i, j):
+        swaps.append((id(coeffs), i, j))
+        return real_swap_sign(coeffs, i, j)
+
+    monkeypatch.setattr(identities, "polarize", counting_polarize)
+    monkeypatch.setattr(identities, "_swap_sign", counting_swap_sign)
+    # fresh copies, so that no earlier test has prepared them
+    target, axiom = (Identity(*catalog(name)._values())
+                     for name in ("identity_1_2", "hom_malcev"))
+    for k in (0, 3):
+        result, pol = derive(target, [axiom], SearchBounds(k))
+        assert isinstance(result, Certificate) and pol is target
+    assert sorted(polarized) == sorted((id(target), id(axiom)))
+    assert swaps and len(swaps) == len(set(swaps))
 
 
 def test_certified_derive_cost_does_not_depend_on_k(monkeypatch):
@@ -431,7 +458,7 @@ def full_path(target, axioms, bounds):
     for axiom in axioms:
         ax = axiom if axiom.is_multilinear else polarize(axiom)
         if len(ax.vars) <= len(target.vars):
-            streams.append(generate_instances(ax, target.vars, bounds, target=None))
+            streams.append(generate_instances(ax, target.vars, bounds))
     instances = consequence._LazySequence(itertools.chain.from_iterable(streams))
     return span_membership(target, instances), target
 
@@ -452,10 +479,10 @@ def test_graded_derive_matches_full_enumeration(target, axioms, k):
 
 def test_axiom_grades():
     for name in ("hom_malcev", "identity_1_2", "eq_2_2", "eq_2_3", "eq_2_4", "eq_2_5"):
-        assert consequence.axiom_grades(polarize(catalog(name))) == (3,) * 4, name
-    assert consequence.axiom_grades(catalog("hom_jacobi")) == (2, 2, 2)
-    assert consequence.axiom_grades(polarize(catalog("malcev"))) is None
-    assert consequence.axiom_grades(catalog("malcev")) is None
+        assert polarize(catalog(name)).grades == (3,) * 4, name
+    assert catalog("hom_jacobi").grades == (2, 2, 2)
+    assert polarize(catalog("malcev")).grades is None
+    assert catalog("malcev").grades is None
 
 
 PAPER_TARGETS = (
@@ -474,7 +501,7 @@ def test_grade_filter_keeps_exactly_the_instances_in_a_component(axiom):
         target = polarize(named(text))
         if len(axiom.vars) > len(target.vars):
             continue
-        components = consequence.target_components(target)
+        components = target.components
         for k in range(3):
             bounds = SearchBounds(k)
             # picks and grades depend on variable positions, not names
@@ -483,11 +510,11 @@ def test_grade_filter_keeps_exactly_the_instances_in_a_component(axiom):
                 full[key] = list(generate_instances(axiom, target.vars, bounds))
             want = []
             for inst in full[key]:
-                grade = consequence.target_components(inst.identity)
+                grade = inst.identity.components
                 assert len(grade) == 1  # a graded axiom's instances are homogeneous
                 if grade <= components:
                     want.append(inst.substitution.images)
-            got = generate_instances(axiom, target.vars, bounds, target)
+            got = generate_instances(axiom, target.vars, bounds, components)
             assert [inst.substitution.images for inst in got] == want, (text, k)
             kept, seen = kept + len(want), seen + len(full[key])
     assert 0 < kept < seen  # the filter both keeps and drops instances
@@ -508,7 +535,7 @@ def test_not_in_span_derive_substitutes_only_matching_picks(monkeypatch):
 def test_target_outside_every_component_substitutes_nothing(monkeypatch):
     calls = count_substitute(monkeypatch)
     target = named("identity_1_2 twist-free")
-    assert len(consequence.target_components(target)) == 9
+    assert len(target.components) == 9
     result, pol = derive(target, [catalog("hom_malcev")], SearchBounds(3))
     assert calls[0] == 0
     assert isinstance(result, NotInSpan)
@@ -590,8 +617,8 @@ def test_ungraded_fallback_stays_lazy(monkeypatch):
 
 # -- one reduction for the target and the instances ---------------------------
 
-def scaled(ident, c):
-    return Identity(ident.vars, ident.poly.scale(c), ident.name)
+def scaled_identity(ident, c):
+    return Identity(ident.vars, scaled(ident.poly, c), ident.name)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -599,15 +626,15 @@ def scaled(ident, c):
 def test_residual_is_linear_in_the_target(target, k):
     target, axioms = named(target), [catalog("hom_malcev")]
     two_thirds = Fraction(2, 3)
-    got, _ = derive(scaled(target, two_thirds), axioms, SearchBounds(k))
+    got, _ = derive(scaled_identity(target, two_thirds), axioms, SearchBounds(k))
     want, _ = derive(target, axioms, SearchBounds(k))
     assert isinstance(got, NotInSpan) and isinstance(want, NotInSpan)
-    assert got.residual == want.residual.scale(two_thirds)
+    assert got.residual == scaled(want.residual, two_thirds)
 
 
 @pytest.mark.parametrize("k", range(4))
 def test_certificate_is_linear_in_the_target(k):
-    half = scaled(catalog("identity_1_2"), Fraction(1, 2))
+    half = scaled_identity(catalog("identity_1_2"), Fraction(1, 2))
     result, _ = derive(half, [catalog("hom_malcev")], SearchBounds(k))
     with open(GOLDEN / f"identity_1_2_K{k}.json") as fh:
         want = json.load(fh)

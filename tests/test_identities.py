@@ -15,10 +15,8 @@ from homcheck.identities import (
     drop_unused,
     identity_from_dsl,
     polarize,
-    rename,
     strip_twist,
     substitute,
-    swap_blocks,
 )
 from homcheck.normalform import MPoly, mono_degrees, normalize, poly_combine
 
@@ -30,7 +28,10 @@ from conftest import (
     random_monomial,
     random_multilinear,
     random_tagged_expr,
+    reference_components,
+    reference_grades,
     reference_swap_blocks,
+    scaled,
     swapped,
 )
 
@@ -83,13 +84,12 @@ def test_specialization_w_equals_y():
     )
     assert e27.poly == display.poly
     # permuting z with x and doubling gives the next displayed step
-    swapped = rename(Identity(("x", "y", "z"), e27.poly), {"x": "z", "z": "x"},
-                     ("x", "y", "z"))
+    assert e27.vars == ("x", "y", "z")
     e28 = identity_from_dsl(
         "vars x,y,z;"
         " 4*J(a(y),a(z),y*x) + 2*a2(y)*J(y,z,x) + 2*J(y*z,a(y),a(x))"
     )
-    assert e28.poly == swapped.poly.scale(2)
+    assert e28.poly == scaled(swapped(e27, 0, 2).poly, 2)
 
 
 def test_substitute_requires_all_variables():
@@ -107,7 +107,7 @@ def test_jacobian_skew_symmetry_suite():
                 if perm[a] > perm[b]:
                     sign = -sign
         image = substitute(j, Substitution(tuple((1, p, 0) for p in perm), j.vars))
-        assert image.poly == j.poly.scale(sign)
+        assert image.poly == scaled(j.poly, sign)
 
 
 def _bilinear_component(poly, nvars, idx_a, idx_b):
@@ -228,7 +228,7 @@ def test_reidentification_factor():
         factor = 1
         for d in degrees:
             factor *= math.factorial(d)
-        assert _reidentify(pol, ident).poly == poly.scale(factor)
+        assert _reidentify(pol, ident).poly == scaled(poly, factor)
         cases += 1
 
 
@@ -265,7 +265,7 @@ def test_substitute_commutes_with_normalization():
 
 def _named_blocks(ident):
     return {(tuple(ident.vars[p] for p in positions), sign)
-            for positions, sign in swap_blocks(ident)}
+            for positions, sign in ident.swap_blocks}
 
 
 def test_swap_blocks_of_the_catalog():
@@ -285,10 +285,10 @@ def test_swap_blocks_of_the_catalog():
         assert _named_blocks(polarize(catalog(name))) == blocks, name
 
 
-def test_swap_blocks_matches_substituting_each_transposition(monkeypatch):
-    # renaming monomials in place finds the blocks that substituting each
-    # transposition and comparing whole normal forms finds, and calls
-    # substitute for none of them
+def _prepared_corpus():
+    """Fresh copies, with nothing prepared yet, of every catalog identity,
+    its polarized and its stripped form, and of seeded random multilinear
+    identities, half of them made symmetric under one swap."""
     idents = [identity_from_dsl("vars w,x,y,z; G(w,x,y,z)"),
               Identity(("w", "x", "y"), MPoly())]
     for name in CATALOG_NAMES:
@@ -300,27 +300,46 @@ def test_swap_blocks_matches_substituting_each_transposition(monkeypatch):
         i, j = rng.sample(range(4), 2)
         sym = poly_combine([(1, ident.poly), (rng.choice((1, -1)), swapped(ident, i, j).poly)])
         idents += [ident, Identity(ident.vars, sym)]
+    return [Identity(*ident._values()) for ident in idents]
+
+
+def test_swap_blocks_matches_substituting_each_transposition(monkeypatch):
+    # renaming monomials in place finds the blocks that substituting each
+    # transposition and comparing whole normal forms finds, and calls
+    # substitute for none of them
+    idents = _prepared_corpus()
     want = [reference_swap_blocks(ident) for ident in idents]
     monkeypatch.setattr(identities, "substitute", None)
-    assert [swap_blocks(ident) for ident in idents] == want
+    assert [ident.swap_blocks for ident in idents] == want
     assert {len(blocks) for blocks in want} == {0, 1, 2}
 
 
+def test_grades_and_components_match_the_references():
+    idents = _prepared_corpus()
+    grades = [reference_grades(ident) for ident in idents]
+    assert [ident.grades for ident in idents] == grades
+    assert {g is None for g in grades} == {True, False}
+    multilinear = [ident for ident in idents if ident.is_multilinear]
+    components = [reference_components(ident) for ident in multilinear]
+    assert [ident.components for ident in multilinear] == components
+    assert {len(c) for c in components} >= {1, 2}
+
+
 def test_swap_blocks_without_a_swap_symmetry():
-    assert swap_blocks(identity_from_dsl("vars x,y,z; (x*a(y))*z")) == ()
+    assert identity_from_dsl("vars x,y,z; (x*a(y))*z").swap_blocks == ()
     # changes sign under the double swap (w y)(x z) only, which is not a
     # transposition
     ident = identity_from_dsl("vars w,x,y,z; (w*a(x))*(y*a(z))")
     double = substitute(
         ident, Substitution(((1, 2, 0), (1, 3, 0), (1, 0, 0), (1, 1, 0)), ident.vars)
     )
-    assert double.poly == ident.poly.scale(-1)
-    assert swap_blocks(ident) == ()
+    assert double.poly == scaled(ident.poly, -1)
+    assert ident.swap_blocks == ()
 
 
 def test_swap_blocks_of_the_zero_polynomial():
     # every swap matches; the skipped tuples evaluate to 0 like all others
     zero = catalog("lemma_2_4_ii")
     assert zero.poly.is_zero
-    assert swap_blocks(zero) == (((0, 1, 2, 3), 1),)
+    assert zero.swap_blocks == (((0, 1, 2, 3), 1),)
     assert check_identity_concrete(load_algebra_file("m7"), zero) is None

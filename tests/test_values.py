@@ -109,6 +109,25 @@ def test_search_bounds_refuses_a_negative_bound():
             bad()
 
 
+PREPARED = ("degrees", "polarized", "swap_blocks", "grades", "components")
+
+
+def test_prepared_form_leaves_value_semantics_alone():
+    # the prepared attributes are kept on the object but are not fields:
+    # reading them changes no comparison, hash or repr
+    for ident in (identity_from_dsl("x*y"), catalog("hom_malcev"),
+                  identity_from_dsl("vars w,x,y; (w*x)*a(x)", "unused y")):
+        read, other = Identity(*ident._values()), Identity(*ident._values())
+        before = (hash(read), repr(read), read._values())
+        for name in PREPARED:
+            getattr(read, name)
+        assert all(name in vars(read) for name in PREPARED)
+        assert not any(name in vars(other) for name in PREPARED)
+        assert (hash(read), repr(read), read._values()) == before
+        assert read == other and other == read and hash(read) == hash(other)
+        assert len({read, other}) == 1
+
+
 def test_reprs():
     assert repr(catalog("hom_malcev")) == (
         "Identity(hom_malcev, vars=('x', 'y', 'z'), 4 terms)"

@@ -5,7 +5,7 @@ its own instance streams, sweeps and loads."""
 
 from homcheck import algebras, consequence, verify
 from homcheck.consequence import SearchBounds
-from homcheck.identities import catalog, identity_from_dsl, swap_blocks
+from homcheck.identities import catalog, identity_from_dsl
 
 K0 = SearchBounds(0)
 
@@ -16,7 +16,7 @@ def test_step_1_rejects_a_symmetric_block(monkeypatch):
         "vars x,y,z; (a(x)*y)*z + (a(x)*z)*y + (a(y)*x)*z + (a(y)*z)*x"
         " + (a(z)*x)*y + (a(z)*y)*x"
     )
-    assert swap_blocks(symmetric) == (((0, 1, 2), 1),)
+    assert symmetric.swap_blocks == (((0, 1, 2), 1),)
     monkeypatch.setattr(
         verify,
         "catalog",
