@@ -66,26 +66,22 @@ class AlgebraSpec(Record):
             col = {r: self.twist[r][j] for r in range(self.dim) if self.twist[r][j]}
             cols.append(col)
         self.twist_cols = tuple(cols)
-        # product_table[i][j]: the (k, c) pairs of e_i*e_j, signed for i > j
-        rows = [[()] * self.dim for _ in range(self.dim)]
-        for (i, j), out in self.product.items():
-            rows[i][j] = tuple(out.items())
-            rows[j][i] = tuple([(k, -c) for k, c in out.items()])
-        self.product_table = tuple(map(tuple, rows))
 
     @cached_property
     def integer_form(self):
-        """(dp, dt, product_table, twist_cols) with the product constants
-        scaled by dp and the twist by dt, the least common multiples of
-        their denominators, so that every entry is an integer."""
+        """(dp, dt, table, twist_cols) with the product constants scaled
+        by dp and the twist by dt, the least common multiples of their
+        denominators, so that every entry is an integer.  table[i][j]
+        holds the (k, c) pairs of dp * e_i*e_j, signed for i > j."""
         dp = math.lcm(
             *(c.denominator for out in self.product.values() for c in out.values())
         )
         dt = math.lcm(*(c.denominator for row in self.twist for c in row))
-        table = tuple(
-            tuple(tuple((k, _times(c, dp)) for k, c in cell) for cell in row)
-            for row in self.product_table
-        )
+        rows = [[()] * self.dim for _ in range(self.dim)]
+        for (i, j), out in self.product.items():
+            rows[i][j] = tuple([(k, _times(c, dp)) for k, c in out.items()])
+            rows[j][i] = tuple([(k, -c) for k, c in rows[i][j]])
+        table = tuple(map(tuple, rows))
         cols = [{r: _times(c, dt) for r, c in col.items()} for col in self.twist_cols]
         return dp, dt, table, cols
 
@@ -233,8 +229,8 @@ def dump_algebra(spec):
 # element arithmetic (elements are sparse dicts index -> coefficient)
 
 def _multiply_into(acc, table, w, u, v):
-    """acc += w*u*v over a signed product table (AlgebraSpec.product_table
-    or the one in AlgebraSpec.integer_form); zero coefficients stay in acc.
+    """acc += w*u*v over the signed product table of
+    AlgebraSpec.integer_form; zero coefficients stay in acc.
 
     The one product kernel, which ``multiply`` and the concrete sweep use.
     """
@@ -249,9 +245,10 @@ def _multiply_into(acc, table, w, u, v):
 
 def multiply(spec, u, v):
     """Bilinear extension of the structure constants."""
+    dp, _, table, _ = spec.integer_form
     out = {}
-    _multiply_into(out, spec.product_table, 1, u, v)
-    return {k: c for k, c in out.items() if c}
+    _multiply_into(out, table, 1, u, v)
+    return {k: Fraction(c, dp) for k, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------

@@ -339,7 +339,7 @@ def _instances(axiom, target_vars, max_alpha_power, grades, components):
             if poly.is_zero:
                 continue
             lead = poly.leading()[1]
-            key = tuple((m, c / lead) for m, c in poly.sorted_terms())
+            key = tuple((m, Fraction(c, lead)) for m, c in poly.sorted_terms())
             if key not in seen:
                 seen.add(key)
                 yield Instance(name, axiom.vars, sub, identity)

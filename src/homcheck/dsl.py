@@ -26,15 +26,18 @@ J (Hom-Jacobian) and G are two entries::
 and the named identities of the catalog are the rest, so
 ``hom_malcev(w*x, a(y), z)`` is a valid factor.
 
-The parser builds every term in the encoding of ``normalform``: a
-variable is the leaf ``(1, v, 0)``, a product is ``(n, left, right)``
-with n its number of leaves, and ``a(...)`` adds 1 to every leaf power
-of its argument's terms (``shift_power``), so the twisting map is
-pushed to the leaves where it is written, by the parser's ``_twist``
-alone.  A call expands at parse time: each body leaf ``(1, i, p)`` is
-replaced by argument i's terms shifted by p, so sum arguments
-distribute.  Parsing neither reorders products nor collects terms: the
-result is a flat list of (coefficient, raw term) pairs, and
+The parser builds every term once, in the encoding of ``normalform``:
+a variable is the leaf ``(1, v, p)``, with p the twist power pending
+from the ``a(`` and ``a2(`` around it, and a product is ``(n, left,
+right)`` with n its number of leaves, so the twisting map is on the
+leaves where it is written.  A call expands at parse time: its
+arguments are parsed at the pending power, and each body leaf
+``(1, i, p)`` is replaced by argument i's terms shifted by p
+(``shift_power``), so sum arguments distribute.  Coefficients are ints;
+only a ``p/q`` literal makes a Fraction.  Terms and factors are read in
+one function, so a level of parentheses costs one interpreter frame and
+a call level two.  Parsing neither reorders products nor collects
+terms: the result is a flat list of (coefficient, raw term) pairs, and
 ``normalize`` only orders signs and collects.  This module imports the
 tree operations from ``normalform``, never the other way round.
 Expansion multiplies term counts, so a product, sum or call that would
@@ -115,11 +118,6 @@ def _prod(ts1, ts2):
     )
 
 
-def _twist(ts, power):
-    # the twisting map applied power times: the one place a twist is placed
-    return tuple((c, shift_power(t, power)) for c, t in ts) if power else ts
-
-
 # Named expressions, name -> "vars params; body".  A call name(e1, ...)
 # expands the body with each argument's terms where its parameter was.
 # J and G are the two used in writing identities; the rest are the
@@ -196,13 +194,15 @@ def _substitute(t, args):
     # the terms of raw term t with each leaf (1, i, p) replaced by the
     # terms of args[i] shifted by p
     if t[0] == 1:
-        return _twist(args[t[1]], t[2])
+        arg, p = args[t[1]], t[2]
+        return tuple((c, shift_power(u, p)) for c, u in arg) if p else arg
     return _prod(_substitute(t[1], args), _substitute(t[2], args))
 
 
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 
+_VARS_RE = re.compile(r"\s*vars(?![A-Za-z0-9_])")
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+|[-+*/(),;]|\s+|.")
 
 
@@ -247,6 +247,13 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, kind):
+        # consume the next token if it is of this kind
+        if self.tokens[self.pos][0] != kind:
+            return False
+        self.pos += 1
+        return True
+
     def error(self, message, tok=None):
         tok = tok or self.peek()
         raise ParseError(message, tok[2], tok[3])
@@ -281,84 +288,78 @@ class _Parser:
                 if tok[1] in self.varmap:
                     self.error(f"duplicate variable {tok[1]!r} in vars declaration", tok)
                 self.var_index(tok[1], tok)
-                if self.peek()[0] == ",":
-                    self.next()
-                else:
+                if not self.accept(","):
                     break
             self.expect(";")
             self.vars_declared = True
-        expr = self.expr()
+        expr = self.expr(0)
         tok = self.peek()
         if tok[0] != "end":
             self.error(f"unexpected {tok[1]!r} after expression")
         return RawExpr(expr, tuple(self.varnames))
 
-    def expr(self):
-        terms = list(self.term())
-        while self.peek()[0] in ("+", "-"):
+    def expr(self, power):
+        # the terms and their factors are read here and only '(' and a
+        # call's arguments recurse, so a level of parentheses costs one
+        # frame; a variable is a leaf at the pending twist power
+        terms, sign = [], 1
+        while True:
+            while self.accept("-"):
+                sign = -sign
+            coeff, more, product = sign, True, None
+            if self.peek()[0] == "int":
+                tok = self.peek()
+                coeff *= self.rat()
+                more = self.accept("*")
+                if not more and coeff:
+                    self.error("constant term without a factor", tok)
+            while more:
+                while self.accept("-"):
+                    coeff = -coeff
+                tok = self.next()
+                kind, val = tok[0], tok[1]
+                if kind == "(":
+                    factor = self.expr(power)
+                    self.expect(")")
+                elif kind == "name" and self.peek()[0] == "(":
+                    factor = self.call(val, tok, power)
+                elif kind == "name":
+                    factor = ((1, (1, self.var_index(val, tok), power)),)
+                else:
+                    self.error(f"unexpected {val or 'end of input'!r}", tok)
+                product = factor if product is None else _prod(product, factor)
+                more = self.accept("*")
+            if not coeff:  # also the literal 0, which has no factor
+                product = ()
+            elif coeff != 1:
+                product = tuple((coeff * c, t) for c, t in product)
+            _bound(len(terms) + len(product), "a sum")
+            terms.extend(product)
+            if self.peek()[0] not in ("+", "-"):
+                return tuple(terms)
             sign = 1 if self.next()[0] == "+" else -1
-            term = self.term()
-            _bound(len(terms) + len(term), "a sum")
-            terms.extend((sign * c, t) for c, t in term)
-        return tuple(terms)
 
     def rat(self):
         num = int(self.expect("int")[1])
-        if self.peek()[0] == "/":
-            self.next()
+        if self.accept("/"):
             dtok = self.expect("int")
             den = int(dtok[1])
             if den == 0:
                 self.error("zero denominator", dtok)
             return Fraction(num, den)
-        return Fraction(num)
+        return num
 
-    def term(self):
-        sign = 1
-        while self.peek()[0] == "-":
-            self.next()
-            sign = -sign
-        coeff = Fraction(sign)
-        if self.peek()[0] == "int":
-            tok = self.peek()
-            coeff *= self.rat()
-            if self.peek()[0] != "*":
-                if coeff == 0:
-                    return ()
-                self.error("constant term without a factor", tok)
-            self.next()
-        factors = self.factor()
-        while self.peek()[0] == "*":
-            self.next()
-            factors = _prod(factors, self.factor())
-        if coeff == 1:
-            return factors
-        return tuple((coeff * c, t) for c, t in factors) if coeff else ()
-
-    def factor(self):
-        tok = self.next()
-        kind, val = tok[0], tok[1]
-        if kind == "-":
-            return tuple((-c, t) for c, t in self.factor())
-        if kind == "(":
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        if kind == "name":
-            if self.peek()[0] == "(":
-                return self.call(val, tok)
-            return ((Fraction(1), (1, self.var_index(val, tok), 0)),)
-        self.error(f"unexpected {val or 'end of input'!r}", tok)
-
-    def call(self, name, tok):
+    def call(self, name, tok, power):
         # a named expression is refused once the arguments read so far
         # expand past MAX_RAW_TERMS: its body's raw-term count times each
         # argument's term count raised to its parameter's degree, counting
         # each argument still to come as one term, so an oversized call
         # stops before its next argument is built
         if name in ("a", "a2"):
-            # one argument, whose own sum and product bounds apply
+            # one argument, read at the raised twist power, whose own
+            # sum and product bounds apply
             size, degrees = 0, (0,)
+            power += 1 if name == "a" else 2
         elif name in NAMED:
             body, degrees = named(name)
             size = len(body)
@@ -367,7 +368,7 @@ class _Parser:
         self.expect("(")
         args = []
         while True:
-            args.append(self.expr())
+            args.append(self.expr(power))
             if len(args) <= len(degrees):
                 size *= len(args[-1]) ** degrees[len(args) - 1]
             if size > MAX_RAW_TERMS:
@@ -376,15 +377,14 @@ class _Parser:
                     f"{size} raw terms (at most {MAX_RAW_TERMS})",
                     tok,
                 )
-            if self.peek()[0] != ",":
+            if not self.accept(","):
                 break
-            self.next()
         self.expect(")")
         if len(args) != len(degrees):
             noun = "argument" if len(degrees) == 1 else "arguments"
             self.error(f"{name} takes {len(degrees)} {noun}, got {len(args)}", tok)
         if name in ("a", "a2"):
-            return _twist(args[0], 1 if name == "a" else 2)
+            return args[0]
         return tuple(
             (c * d, u) for c, t in body.terms for d, u in _substitute(t, args)
         )
@@ -398,7 +398,7 @@ def parse_expr(text):
 def has_vars_header(text):
     """True when ``text`` opens with a ``vars ...;`` header (``vars`` is
     reserved, so a leading ``vars`` token can only start one)."""
-    return _tokenize(text)[0][1] == "vars"
+    return _VARS_RE.match(text) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +433,9 @@ def format_expr(obj, names=None):
 
     A RawExpr prints its terms as parsed, with the twists on the leaves
     (``a(x*y)`` prints as ``a(x)*a(y)``).  The output re-parses to an
-    expression with the same normal form, unless it nests parentheses
-    deeper than the parser's recursion allows: about 330 levels, while
-    printing takes one frame per level and reaches about 990.  For an
-    MPoly the variable name table must be supplied.
+    expression with the same normal form: printing and parsing each take
+    one frame per level of parentheses.  For an MPoly the variable name
+    table must be supplied.
     """
     if isinstance(obj, RawExpr):
         names, terms = obj.vars, obj.terms

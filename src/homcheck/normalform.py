@@ -77,8 +77,8 @@ def canon_sum(terms):
         if res is None:
             continue
         sign, mono = res
-        # negate and store rather than multiply and add to 0: each is a
-        # new Fraction
+        # negate and store rather than multiply and add to 0: a rational
+        # coefficient makes a new Fraction at each operation
         if sign < 0:
             coeff = -coeff
         acc[mono] = acc[mono] + coeff if mono in acc else coeff
@@ -101,7 +101,8 @@ def shift_power(mono, k):
     A uniform shift preserves canonical ordering, so the result is
     canonical whenever the input is.  The tree is rebuilt from an
     explicit stack rather than by recursion, because the parser shifts
-    terms deep inside its own recursion.
+    the arguments of a named call, which may be deep trees, inside its
+    own recursion.
     """
     if k == 0:
         return mono

@@ -173,6 +173,30 @@ def test_load_reports_non_multiplicative_pair():
     assert "(1, 2)" in str(exc.value)
 
 
+def test_multiply_divides_the_integer_table_exactly():
+    # e1*e2 = 1/2 e3 - 2/3 e1 and e1*e3 = 3 e2: the integer table is scaled
+    # by dp = 6, and multiply returns the exact rational product
+    product = {
+        (0, 1): {2: Fraction(1, 2), 0: Fraction(-2, 3)},
+        (0, 2): {1: Fraction(3)},
+    }
+    one = tuple(tuple(Fraction(i == j) for j in range(3)) for i in range(3))
+    spec = AlgebraSpec(3, ("e1", "e2", "e3"), product, one)
+    assert spec.integer_form[0] == 6
+    u = {0: Fraction(3, 4), 1: 2}
+    v = {1: Fraction(-1, 5), 2: 7}
+    # u*v = 3/4*(-1/5) e1*e2 + 3/4*7 e1*e3 + 2*7 e2*e3, with e2*e3 = 0
+    want = element_add([
+        (Fraction(-3, 20), product[(0, 1)]),
+        (Fraction(21, 4), product[(0, 2)]),
+    ])
+    got = multiply(spec, u, v)
+    assert got == want
+    assert all(type(c) is Fraction for c in got.values())
+    assert multiply(spec, v, u) == {k: -c for k, c in want.items()}
+    assert multiply(spec, u, u) == {}
+
+
 def test_integer_multiplicativity_check_matches_fraction_reference():
     # is_multiplicative compares dt*a(e_i*e_j) with a(e_i)*a(e_j) in the
     # integer form; a Fraction check built from apply_twist and multiply

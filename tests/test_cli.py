@@ -75,13 +75,33 @@ def test_deep_nesting_is_usage(capsys):
     # twists and deep parentheses each print one line and exit 2
     for text in (
         "*".join(["x"] * 1200),
-        "a(" * 300 + "x" + ")" * 300,
-        "(" * 400 + "x*y" + ")" * 400,
+        "a(" * 1200 + "x" + ")" * 1200,
+        "(" * 1200 + "x*y" + ")" * 1200,
     ):
         code, out, err = run(capsys, "normalize", text)
         assert (code, out) == (2, "")
         assert err == "error: expression nested too deeply\n"
         assert "Traceback" not in err
+
+
+def test_printed_normal_forms_parse_back():
+    # in fresh processes, as the CLI runs: what normalize prints, equal
+    # reads back and finds equal to the input
+    inputs = [
+        "*".join(["x", "y"] * (n // 2)) for n in (340, 700, 900)
+    ] + ["a(" * 300 + "x" + ")" * 300, "(" * 400 + "x*y" + ")" * 400]
+
+    def cli(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "homcheck.cli", *argv],
+            capture_output=True, text=True, env=child_env(), timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, ""), argv[0]
+        return done.stdout
+
+    for text in inputs:
+        printed = cli("normalize", text).strip()
+        assert cli("equal", "--", text, printed).strip() == "equal"
 
 
 def test_deep_product_prints(capsys):

@@ -701,3 +701,12 @@ def test_shared_streams_give_fresh_results(monkeypatch):
         "Certificate", "NotInSpan", "Certificate", "Certificate", "NotInSpan",
         "Certificate", "Certificate", "Certificate", "Certificate",
     ]
+
+
+def test_instance_dedup_is_exact():
+    # the y<->z instance's coefficient ratios differ from the axiom's only
+    # past a float's 53 bits, so a float dedup key would drop it
+    ax = identity_from_dsl(
+        "x*(y*z) + 9007199254740992*y*(z*x) + 9007199254740993*z*(x*y)"
+    )
+    assert len(list(generate_instances(ax.polarized, ax.vars, K0))) == 6

@@ -222,3 +222,46 @@ def test_roundtrip_property_corpus():
         text = format_expr(e)
         reparsed = parse_expr(header + text) if text != "0" else parse_expr("0")
         assert normalize(reparsed) == normalize(e)
+
+
+def test_has_vars_header_reads_only_the_leading_token():
+    assert dsl.has_vars_header("  vars x; x")
+    assert not dsl.has_vars_header("vars_x*y")
+    assert not dsl.has_vars_header("varsity*b")
+    # the rest of the text is not tokenized, so a bad character after the
+    # first token is left to the parser
+    assert not dsl.has_vars_header("x*y $")
+
+
+def test_integral_coefficients_are_ints():
+    # only a p/q literal makes a Fraction
+    e = parse_expr("x*y - 3*J(x,y,z) + a(2*z*x)")
+    assert {type(c) for c, _ in e.terms} == {int}
+    e = parse_expr("x*y + 1/2*y*x")
+    assert [type(c) for c, _ in e.terms] == [int, Fraction]
+
+
+G_OF_G = "G(G(w,x,y,z),G(x,y,z,w),G(y,z,w,x),G(z,w,x,y))"
+
+
+@pytest.mark.parametrize("inner", [G_OF_G, "J(x*y,z,w)"])
+def test_nested_twists_place_each_leaf_once(monkeypatch, inner):
+    # a( passes its power down to the leaves, so twisting adds no
+    # shift_power call: only a named call's body leaves shift arguments
+    plain = parse_expr(inner)
+    calls = []
+    shift = dsl.shift_power
+
+    def counted(mono, k):
+        calls.append(k)
+        return shift(mono, k)
+
+    monkeypatch.setattr(dsl, "shift_power", counted)
+    assert parse_expr(inner) == plain
+    expected = len(calls)
+    calls.clear()
+    twisted = parse_expr("a(a(a(a(" + inner + "))))")
+    assert len(calls) == expected
+    assert twisted.terms[:50] == tuple(
+        (c, shift(t, 4)) for c, t in plain.terms[:50]
+    )

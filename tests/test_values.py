@@ -138,5 +138,5 @@ def test_reprs():
         "Step(number=1, title='t', passed=True, detail='', certificates=[])"
     )
     assert repr(parse_expr("x*y")) == (
-        "RawExpr(terms=((Fraction(1, 1), (2, (1, 0, 0), (1, 1, 0))),), vars=('x', 'y'))"
+        "RawExpr(terms=((1, (2, (1, 0, 0), (1, 1, 0))),), vars=('x', 'y'))"
     )
