@@ -254,8 +254,17 @@ def multiply(spec, u, v):
 # ---------------------------------------------------------------------------
 # identity checking and the twisting construction
 
+# what ``check`` prints, in JSON and in text, when the sweep finds no
+# failing tuple (``check_identity_concrete`` returns None)
+HOLDS = {"verdict": "holds"}, "Holds"
+
+
 class Counterexample(Record):
-    """First basis tuple (1-based) where the polarized identity fails."""
+    """First basis tuple (1-based) where the polarized identity fails.
+
+    ``to_obj`` is the document ``check --format json`` prints and
+    ``to_text(spec)`` the line ``check`` prints, with spec's basis names.
+    """
 
     _fields = ("variables", "tuple_indices", "residual")
 
@@ -263,7 +272,15 @@ class Counterexample(Record):
         self.variables, self.tuple_indices = variables, tuple_indices
         self.residual = residual
 
-    def describe(self, spec):
+    def to_obj(self):
+        return {
+            "verdict": "counterexample",
+            "tuple": list(self.tuple_indices),
+            "vars": list(self.variables),
+            "residual": {str(k + 1): str(c) for k, c in sorted(self.residual.items())},
+        }
+
+    def to_text(self, spec):
         assignment = ", ".join(
             f"{v} = {spec.basis[i - 1]}"
             for v, i in zip(self.variables, self.tuple_indices)
@@ -272,7 +289,7 @@ class Counterexample(Record):
             f"{c}*{spec.basis[k]}" if c != 1 else spec.basis[k]
             for k, c in sorted(self.residual.items())
         )
-        return f"{assignment} -> {value}"
+        return f"Counterexample: {assignment} -> {value}"
 
 
 def _times(c, d):

@@ -5,6 +5,12 @@ twist.  Exit codes form a stable contract for CI: 0 success, 1 semantic
 negative (not in span / counterexample / unequal), 2 usage or parse
 error, 3 invalid input file.  The environment variable HOMCHECK_MAX_K
 caps the twist-power bound K.
+
+``--format json`` switches every subcommand but ``twist`` (which always
+writes the algebra's JSON document) to JSON output.  derive, check and
+verify-paper compute a result and print what it renders: its
+``to_obj()`` as JSON or its ``to_text()``, or for check's "holds"
+verdict, which has no result object, ``algebras.HOLDS``.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import os
 import sys
 
 from .algebras import (
+    HOLDS,
     AlgebraError,
     check_identity_concrete,
     dump_algebra,
@@ -105,46 +112,16 @@ def cmd_derive(args):
 
     target = _resolve_identity(args.target)
     axioms = [_resolve_identity(a) for a in args.axiom]
-    bounds = _bounds(args)
-    result, polarized = derive(target, axioms, bounds)
-    if isinstance(result, Certificate):
-        obj = {
-            "status": "certificate",
-            "target": format_expr(polarized.poly, polarized.vars),
-            "certificate": result.to_obj(),
-        }
-        text = json.dumps(result.to_obj(), indent=2)
-        _emit(args, obj, text)
-        return EXIT_OK
-    obj = {
-        "status": "not_in_span",
-        "max_alpha_power": bounds.max_alpha_power,
-        "residual_monomials": result.residual_monomials,
-        "residual": format_expr(result.residual, polarized.vars),
-        "k_saturated": result.k_saturated,
-        "axioms_skipped": list(result.axioms_skipped),
-    }
-    _emit(
-        args,
-        obj,
-        f"not in span within bounds (K={obj['max_alpha_power']}); "
-        f"residual has {result.residual_monomials} monomials",
-    )
-    return EXIT_NEGATIVE
+    result, _ = derive(target, axioms, _bounds(args))
+    _emit(args, result.to_obj(), result.to_text())
+    return EXIT_OK if isinstance(result, Certificate) else EXIT_NEGATIVE
 
 
 def cmd_verify_paper(args):
     from .verify import verify_paper
 
     report = verify_paper(_bounds(args))
-    total = len(report.steps)
-    lines = [
-        f"step {s.number}/{total}: {'PASS' if s.passed else 'FAIL'} - {s.title}"
-        + (f" ({s.detail})" if s.detail else "")
-        for s in report.steps
-    ]
-    lines.append("overall: " + ("PASS" if report.passed else "FAIL"))
-    _emit(args, report.to_obj(), "\n".join(lines))
+    _emit(args, report.to_obj(), report.to_text())
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
@@ -152,21 +129,11 @@ def cmd_check(args):
     spec = load_algebra_file(args.algebra)
     # the sweep evaluates the normal form, which assumes a(u*v) = a(u)*a(v)
     require_multiplicative(spec)
-    ident = _resolve_identity(args.identity)
-    res = check_identity_concrete(spec, ident)
+    res = check_identity_concrete(spec, _resolve_identity(args.identity))
     if res is None:
-        _emit(args, {"verdict": "holds"}, "Holds")
+        _emit(args, *HOLDS)
         return EXIT_OK
-    _emit(
-        args,
-        {
-            "verdict": "counterexample",
-            "tuple": list(res.tuple_indices),
-            "vars": list(res.variables),
-            "residual": {str(k + 1): str(c) for k, c in sorted(res.residual.items())},
-        },
-        f"Counterexample: {res.describe(spec)}",
-    )
+    _emit(args, res.to_obj(), res.to_text(spec))
     return EXIT_NEGATIVE
 
 
@@ -247,7 +214,6 @@ def build_parser():
     p = sub.add_parser("twist", help="apply the twisting construction to an algebra")
     p.add_argument("algebra", help="algebra JSON path or bundled name")
     p.add_argument("-o", "--output", help="write the twisted algebra here")
-    common(p)
     p.set_defaults(fn=cmd_twist)
 
     return parser

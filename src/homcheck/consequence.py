@@ -63,6 +63,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
+from .dsl import format_expr
 from .identities import (
     DEFAULT_MAX_ALPHA_POWER,
     Substitution,
@@ -101,26 +102,55 @@ def _weight(images):
 class NotInSpan(Record):
     """Negative result *within bounds*: the residual after elimination.
 
-    ``derive`` also reports the K from which a larger bound enumerates
-    the same instances (None when some axiom is ungraded) and the names
-    of the axioms that contribute no instance: first those with more
-    variables than the target, then those that vanish freely.
+    ``target`` is the polarized target the residual is over, and
+    ``max_alpha_power`` the K it was searched at (None when the result
+    comes from ``span_membership``, which takes no bounds).  ``derive``
+    also reports the K from which a larger bound enumerates the same
+    instances (None when some axiom is ungraded) and the names of the
+    axioms that contribute no instance: first those with more variables
+    than the target, then those that vanish freely.
+
+    ``to_obj`` is the document ``derive --format json`` prints and
+    ``to_text`` the line ``derive`` prints.
     """
 
-    _fields = ("residual", "k_saturated", "axioms_skipped")
+    _fields = ("residual", "k_saturated", "axioms_skipped", "target",
+               "max_alpha_power")
 
-    def __init__(self, residual, k_saturated=None, axioms_skipped=()):
+    def __init__(self, residual, k_saturated=None, axioms_skipped=(), target=None,
+                 max_alpha_power=None):
         self.residual, self.k_saturated = residual, k_saturated
-        self.axioms_skipped = axioms_skipped
+        self.axioms_skipped, self.target = axioms_skipped, target
+        self.max_alpha_power = max_alpha_power
 
     @property
     def residual_monomials(self):
         return len(self.residual)
 
+    def to_obj(self):
+        return {
+            "status": "not_in_span",
+            "max_alpha_power": self.max_alpha_power,
+            "residual_monomials": self.residual_monomials,
+            "residual": format_expr(self.residual, self.target.vars),
+            "k_saturated": self.k_saturated,
+            "axioms_skipped": list(self.axioms_skipped),
+        }
+
+    def to_text(self):
+        return (f"not in span within bounds (K={self.max_alpha_power}); "
+                f"residual has {self.residual_monomials} monomials")
+
 
 class Certificate(Record):
     """Witness that target.poly equals a combination of axiom instances:
-    ``rows`` is a list of (Instance, Fraction coefficient) pairs."""
+    ``rows`` is a list of (Instance, Fraction coefficient) pairs.
+
+    ``rows_obj`` is the JSON list of the rows, which ``to_json`` dumps and
+    the ``verify-paper`` report embeds; ``to_obj`` is the document
+    ``derive --format json`` prints, the target with its rows, and
+    ``to_text`` the rows as ``derive`` prints them.
+    """
 
     _fields = ("target", "rows")
     __hash__ = None
@@ -132,7 +162,7 @@ class Certificate(Record):
         """Recombine the substituted axioms; must equal target.poly exactly."""
         return poly_combine((c, inst.identity.poly) for inst, c in self.rows)
 
-    def to_obj(self):
+    def rows_obj(self):
         return [
             {
                 "axiom": inst.axiom,
@@ -142,8 +172,18 @@ class Certificate(Record):
             for inst, c in self.rows
         ]
 
+    def to_obj(self):
+        return {
+            "status": "certificate",
+            "target": format_expr(self.target.poly, self.target.vars),
+            "certificate": self.rows_obj(),
+        }
+
+    def to_text(self):
+        return self.to_json(indent=2)
+
     def to_json(self, **kw):
-        return json.dumps(self.to_obj(), **kw)
+        return json.dumps(self.rows_obj(), **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +465,8 @@ def span_membership(target, instances):
 
     scale = tcombo[_TARGET]
     if residual:
-        return NotInSpan(MPoly({m: Fraction(c, scale) for m, c in residual.items()}))
+        residual = MPoly({m: Fraction(c, scale) for m, c in residual.items()})
+        return NotInSpan(residual, target=target)
     rows = [
         (instances[i], Fraction(-c, scale))
         for i, c in sorted(tcombo.items()) if i != _TARGET
@@ -461,8 +502,11 @@ def derive(target, axioms, bounds=None, streams=None):
     leave a sequence cut short, so drop the dict after an exception.
 
     Returns (result, polarized_target) where result is a Certificate or
-    NotInSpan; a NotInSpan carries ``k_saturated`` (None on the ungraded
-    path) and ``axioms_skipped``.
+    NotInSpan whose ``target`` is that same polarized target; a NotInSpan
+    also carries K as ``max_alpha_power``, ``k_saturated`` (None on the
+    ungraded path) and ``axioms_skipped``.  Either result renders itself:
+    ``to_obj()`` is the JSON document ``derive --format json`` prints and
+    ``to_text()`` the text ``derive`` prints.
     """
     bounds = bounds or SearchBounds()
     if target.degrees is None:
@@ -499,7 +543,7 @@ def derive(target, axioms, bounds=None, streams=None):
                 s_v - c_u for s in components for s_v in s
                 for g in grades for c_u in g
             ])
-        result = NotInSpan(
-            result.residual, k_saturated, tuple(oversized + vanishing)
-        )
+        result = NotInSpan(result.residual, k_saturated,
+                           tuple(oversized + vanishing), target,
+                           bounds.max_alpha_power)
     return result, target

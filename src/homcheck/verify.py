@@ -109,11 +109,14 @@ class Step(Record):
             "detail": self.detail,
         }
         if self.certificates:
-            obj["certificates"] = [c.to_obj() for c in self.certificates]
+            obj["certificates"] = [c.rows_obj() for c in self.certificates]
         return obj
 
 
 class Report(Record):
+    """The replay's steps; ``to_obj`` is the document ``verify-paper
+    --format json`` prints and ``to_text`` the text it prints."""
+
     _fields = ("steps",)
     __hash__ = None
 
@@ -126,6 +129,14 @@ class Report(Record):
 
     def to_obj(self):
         return {"passed": self.passed, "steps": [s.to_obj() for s in self.steps]}
+
+    def to_text(self):
+        lines = [
+            f"step {s.number}/{len(self.steps)}: {'PASS' if s.passed else 'FAIL'}"
+            f" - {s.title}" + (f" ({s.detail})" if s.detail else "")
+            for s in self.steps
+        ]
+        return "\n".join(lines + ["overall: " + ("PASS" if self.passed else "FAIL")])
 
 
 class _Run:

@@ -266,7 +266,7 @@ def test_m7_jacobi_counterexample():
     assert res is not None
     assert res.tuple_indices == (1, 2, 4)
     assert res.residual == {6: 3}
-    assert "e1" in res.describe(spec) and "3*e7" in res.describe(spec)
+    assert "e1" in res.to_text(spec) and "3*e7" in res.to_text(spec)
 
 
 def test_m7_satisfies_derived_consequences():

@@ -3,8 +3,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from homcheck.algebras import dump_algebra, load_algebra_file
 from homcheck.cli import main
+from homcheck.consequence import SearchBounds, derive
+from homcheck.identities import catalog
 
 from conftest import child_env
 
@@ -129,6 +133,8 @@ def test_commands_load_only_what_they_use():
 def test_unknown_subcommand_is_usage(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["check", "m7", "hom_malcev", "--jobs", "2"]) == 2
+    # twist always writes the algebra's JSON, so it takes no --format
+    assert main(["twist", "cross3", "--format", "text"]) == 2
 
 
 def test_polarize(capsys):
@@ -165,6 +171,10 @@ def test_derive_not_in_span_json_fields(capsys):
     doc = json.loads(out)
     assert list(doc)[-2:] == ["k_saturated", "axioms_skipped"]
     assert doc["k_saturated"] == 0 and doc["axioms_skipped"] == ["hom_malcev"]
+    # the result carries the polarized target derive returns beside it,
+    # and renders the CLI's document itself
+    result, polarized = derive(catalog("hom_jacobi"), [catalog("hom_malcev")])
+    assert result.target == polarized and result.to_obj() == doc
     code, out, _ = run(
         capsys, "derive", "--target", "J(w*x,a(y),a(z))", "--axiom", "malcev",
         "--axiom", "hom_malcev", "--K", "1", "--format", "json",
@@ -177,7 +187,13 @@ def test_derive_not_in_span_json_fields(capsys):
         "--K", "1", "--format", "json",
     )
     assert code == 0
-    assert set(json.loads(out)) == {"status", "target", "certificate"}
+    doc = json.loads(out)
+    assert set(doc) == {"status", "target", "certificate"}
+    result, polarized = derive(
+        catalog("identity_1_2"), [catalog("hom_malcev")], SearchBounds(1)
+    )
+    assert result.target == polarized and result.to_obj() == doc
+
 
 
 IDENTITY_1_2 = (
@@ -273,6 +289,49 @@ def test_check_holds_and_counterexample(capsys):
     code, out, _ = run(capsys, "check", "m7", "J(w*x,a(y),a(z))")
     assert code == 1
     assert out.strip() == "Counterexample: w = e1, x = e2, y = e1, z = e4 -> 3*e6"
+
+
+GOLDEN_CLI = os.path.join(os.path.dirname(__file__), "golden", "cli")
+
+# case -> (argv, environment): each runs in text and in JSON, and its
+# stdout must equal golden/cli/<case>-<format>.out byte for byte, its exit
+# code and stderr the entry "<case>-<format>" of golden/cli/results.json
+PINNED = {
+    "derive_certified": (["derive", "--target", "identity_1_2", "--axiom",
+                          "hom_malcev", "--K", "1"], {}),
+    "derive_graded_not_in_span": (["derive", "--target", "J(w*x,a(y),a(z))",
+                                   "--axiom", "hom_malcev", "--K", "3"], {}),
+    "derive_ungraded_not_in_span": (["derive", "--target", "J(w*x,a(y),a(z))",
+                                     "--axiom", "malcev", "--axiom", "hom_malcev",
+                                     "--K", "1"], {}),
+    "derive_skipped_axiom": (["derive", "--target", "identity_1_2", "--axiom",
+                              "lemma_2_4_ii"], {}),
+    # the residual is over the polarized names x#1, x#2
+    "derive_polarized_residual": (["derive", "--target", "hom_malcev", "--axiom",
+                                   "hom_jacobi", "--K", "3"], {}),
+    "derive_capped_k": (["derive", "--target", "identity_1_2", "--axiom",
+                         "hom_malcev", "--K", "3"], {"HOMCHECK_MAX_K": "0"}),
+    "check_holds": (["check", "m7", "hom_malcev"], {}),
+    "check_integer_counterexample": (["check", "m7", "J(w*x,a(y),a(z))"], {}),
+    "check_rational_counterexample": (["check", "cross3_rot", "hom_malcev"], {}),
+    "verify_paper_K0": (["verify-paper", "--K", "0"], {}),
+    "verify_paper_K3": (["verify-paper", "--K", "3"], {}),
+}
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+@pytest.mark.parametrize("case", PINNED)
+def test_output_is_pinned(capsys, monkeypatch, case, fmt):
+    argv, env = PINNED[case]
+    monkeypatch.delenv("HOMCHECK_MAX_K", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    with open(os.path.join(GOLDEN_CLI, f"{case}-{fmt}.out"), newline="") as fh:
+        assert out == fh.read()
+    with open(os.path.join(GOLDEN_CLI, "results.json")) as fh:
+        want = json.load(fh)[f"{case}-{fmt}"]
+    assert {"exit": code, "stderr": err} == want
 
 
 def test_check_missing_file(capsys):

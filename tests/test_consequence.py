@@ -638,7 +638,7 @@ def test_certificate_is_linear_in_the_target(k):
     result, _ = derive(half, [catalog("hom_malcev")], SearchBounds(k))
     with open(GOLDEN / f"identity_1_2_K{k}.json") as fh:
         want = json.load(fh)
-    got = result.to_obj()
+    got = result.rows_obj()
     assert [(r["axiom"], r["substitution"]) for r in got] == [
         (r["axiom"], r["substitution"]) for r in want
     ]
