@@ -9,12 +9,12 @@ are sparse coefficient vectors.  Identity checks polarize first and then
 evaluate on basis tuples, which is complete by multilinearity over a
 characteristic-0 field.
 
-The sweep visits one basis tuple per orbit of the identity's variable
-swaps, in integers.  The identity is one tree of nodes, each a leaf or
-a weighted sum over one variable set with one product per distinct
-first child; every node below the root is tabulated on the basis
-indices of its own variables, so it is computed at most dim^|S| times
-for variable set S, not once per tuple.
+The sweep visits basis tuples modulo the identity's variable swaps and
+the algebra's declared symmetries, in integers.  The identity is one
+tree of nodes, each a leaf or a weighted sum over one variable set with
+one product per distinct first child; every node below the root is
+tabulated on the basis indices of its own variables, so it is computed
+at most dim^|S| times for variable set S, not once per tuple.
 
 The sweep evaluates the identity's normal form, and normalizing pushes
 the twist through products, a(u*v) -> a(u)*a(v).  Its verdict is about
@@ -27,7 +27,15 @@ pairs mean zero product; indices are 1-based)::
     { "dim": n, "basis": [names],
       "product": [ { "i": 1, "j": 2, "out": { "3": "1" } }, ... ],
       "twist": [[row of rationals], ...],
-      "require_multiplicative": bool }
+      "require_multiplicative": bool,
+      "symmetries": [[signed permutation of 1..n], ...] }
+
+"symmetries" is optional: generators of a group of signed-permutation
+automorphisms, where the entry +-j at position i means e_i -> +-e_j.
+Loading checks only that each is a signed permutation; the first sweep
+or dump checks exactly that each preserves the product and commutes
+with the twist, and refuses the algebra otherwise.  Without the key the
+group is the identity alone.
 """
 
 from __future__ import annotations
@@ -53,14 +61,16 @@ class AlgebraSpec(Record):
 
     ``product`` maps (i, j) with i < j to {k: Fraction}, 0-based, and
     ``twist`` holds the matrix rows, a tuple of tuples of Fraction.
+    ``symmetries`` holds the declared generators as in the JSON: tuples
+    of signed 1-based indices, checked when ``permutations`` is read.
     """
 
-    _fields = ("dim", "basis", "product", "twist", "name")
+    _fields = ("dim", "basis", "product", "twist", "name", "symmetries")
     __hash__ = None
 
-    def __init__(self, dim, basis, product, twist, name=None):
+    def __init__(self, dim, basis, product, twist, name=None, symmetries=()):
         self.dim, self.basis, self.product = dim, basis, product
-        self.twist, self.name = twist, name
+        self.twist, self.name, self.symmetries = twist, name, symmetries
         cols = []
         for j in range(self.dim):
             col = {r: self.twist[r][j] for r in range(self.dim) if self.twist[r][j]}
@@ -84,6 +94,35 @@ class AlgebraSpec(Record):
         table = tuple(map(tuple, rows))
         cols = [{r: _times(c, dt) for r, c in col.items()} for col in self.twist_cols]
         return dp, dt, table, cols
+
+    @cached_property
+    def permutations(self):
+        """The group the declared ``symmetries`` generate, as 0-based
+        permutations of the basis indices with the signs dropped; the
+        identity alone when none is declared.  Each generator g is checked
+        exactly first: g(a(e_j)) = a(g(e_j)) and g(e_i*e_j) =
+        g(e_i)*g(e_j) on the basis, or it is an AlgebraError."""
+        _, _, table, cols = self.integer_form
+        gens = []
+        for g in self.symmetries:
+            perm = tuple(abs(s) - 1 for s in g)
+            sign = [1 if s > 0 else -1 for s in g]
+
+            def moved(pairs, w):  # w * g(u), for u given by its (k, c) pairs
+                return {perm[k]: w * sign[k] * c for k, c in pairs}
+
+            if any(moved(col.items(), sign[j]) != cols[perm[j]]
+                   for j, col in enumerate(cols)):
+                raise AlgebraError(f"symmetry {list(g)} does not commute with the twist")
+            if any(moved(table[i][j], sign[i] * sign[j]) != dict(table[perm[i]][perm[j]])
+                   for i, j in itertools.combinations(range(self.dim), 2)):
+                raise AlgebraError(f"symmetry {list(g)} does not preserve the product")
+            gens.append(perm)
+        group, new = set(), {tuple(range(self.dim))}
+        while new:  # a breadth-first closure
+            group |= new
+            new = {tuple([g[k] for k in h]) for h in new for g in gens} - group
+        return sorted(group)
 
     def is_multiplicative(self):
         """First basis pair violating a(u*v) = a(u)*a(v), or None."""
@@ -165,7 +204,15 @@ def load_algebra(doc, name=None):
     ):
         raise AlgebraError(f"'twist' must be a {dim}x{dim} matrix")
     twist = tuple(tuple(_fraction(c) for c in row) for row in twist_doc)
-    spec = AlgebraSpec(dim, tuple(basis), product, twist, name or doc.get("name"))
+    symmetries = doc.get("symmetries", [])
+    if not isinstance(symmetries, list) or any(
+        not isinstance(g, list)
+        or sorted(abs(s) if type(s) is int else 0 for s in g) != list(range(1, dim + 1))
+        for g in symmetries
+    ):
+        raise AlgebraError(f"'symmetries' must list signed permutations of 1..{dim}")
+    spec = AlgebraSpec(dim, tuple(basis), product, twist, name or doc.get("name"),
+                       tuple(map(tuple, symmetries)))
     if doc.get("require_multiplicative", False):
         require_multiplicative(spec)
     return spec
@@ -207,8 +254,9 @@ def load_algebra_file(path):
 
 
 def dump_algebra(spec):
-    """Inverse of load_algebra, as a JSON-serializable document."""
-    return {
+    """Inverse of load_algebra, as a JSON-serializable document.  A
+    declared symmetry is checked before it is written."""
+    doc = {
         "dim": spec.dim,
         "basis": list(spec.basis),
         "product": [
@@ -223,6 +271,9 @@ def dump_algebra(spec):
         "twist": [[str(c) for c in row] for row in spec.twist],
         "require_multiplicative": True,
     }
+    if spec.symmetries and spec.permutations:
+        doc["symmetries"] = [list(g) for g in spec.symmetries]
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +349,15 @@ def _times(c, d):
 
 
 def check_identity_concrete(spec, ident):
-    """Evaluate the polarized identity on basis tuples, one per orbit of
-    its variable swaps.
+    """Evaluate the polarized identity on basis tuples, modulo its
+    variable swaps and the algebra's symmetries.
 
     Returns None when the identity holds, otherwise the Counterexample
-    at the first failing tuple in lexicographic tuple order.  What is
-    evaluated is the normal form, which assumes a(u*v) = a(u)*a(v); the
-    verdict is about the identity as written only when spec's twist is
-    multiplicative (``spec.is_multiplicative()`` is None).
+    at the first failing tuple in lexicographic tuple order, the same
+    with or without the filters below.  What is evaluated is the normal
+    form, which assumes a(u*v) = a(u)*a(v); the verdict is about the
+    identity as written only when spec's twist is multiplicative
+    (``spec.is_multiplicative()`` is None).
 
     The polarized identity's ``swap_blocks`` attribute holds the blocks
     of variables under whose transpositions the normal form f is
@@ -324,6 +376,22 @@ def check_identity_concrete(spec, ident):
     the rationals, and it is skipped.  A declared variable that f does
     not contain takes only index 0: f does not depend on it, so the
     least failing tuple has index 0 there.
+
+    The algebra's symmetries filter further.  A signed permutation g of
+    the basis that preserves the product and commutes with the twist
+    maps f(e_t1, ..., e_tk) to f(g e_t1, ..., g e_tk) = +-f(e_pi(t1),
+    ..., e_pi(tk)), with pi the permutation g makes of the indices.  So
+    f vanishes at a tuple exactly when it vanishes at its image, and the
+    failing tuples are a union of orbits under the group of the pi
+    (``spec.permutations``) too, acting on every position at once.  The
+    least failing tuple is the least of its orbit under both groups
+    together, so no pi that fixes its first q indices maps its index at
+    position q lower: otherwise that image, with index 0 again at the
+    variables f does not contain, would be a smaller failing tuple.
+    The sweep keeps an index only when it passes this test under the
+    permutations that fix the earlier indices, so it visits the least
+    failing tuple, and every tuple it skips is not the least failing
+    one.
 
     The sweep runs in integers, over ``spec.integer_form``: a monomial
     with L leaves and twist powers summing to P evaluates to
@@ -353,22 +421,39 @@ def check_identity_concrete(spec, ident):
         twisted.append(
             [element_add((c, cols[j]) for j, c in u.items()) for u in twisted[-1]]
         )
-    # (p, q, gap): the index at position q must exceed the one at p by
-    # at least gap, for consecutive positions p < q of one block
-    steps = [
-        (p, q, 1 if sign < 0 else 0)
-        for positions, sign in ident.swap_blocks
-        for p, q in zip(positions, positions[1:])
-    ]
-    ranges = [range(spec.dim if d else 1) for d in ident.degrees]
-    for tup in itertools.product(*ranges):
-        if any(tup[q] - tup[p] < gap for p, q, gap in steps):
-            continue
+    # floors[q] = (p, gap): the index at position q must exceed the one
+    # at p by at least gap, p < q consecutive positions of one block
+    floors = [None] * len(ident.vars)
+    for positions, sign in ident.swap_blocks:
+        for p, q in zip(positions, positions[1:]):
+            floors[q] = (p, 1 if sign < 0 else 0)
+    ends = [spec.dim if d else 1 for d in ident.degrees]
+    for tup in _tuples((), ends, floors, spec.permutations):
         value = _evaluate(root, table, twisted, spec.dim, tup)
         if any(value.values()):
             residual = {k: Fraction(c, den) for k, c in value.items() if c}
             return Counterexample(ident.vars, tuple(i + 1 for i in tup), residual)
     return None
+
+
+def _tuples(prefix, ends, floors, perms):
+    """The tuples check_identity_concrete visits that extend prefix, in
+    lexicographic order.  The index at position q runs from its block's
+    floor to ends[q], and is kept only when no permutation in perms,
+    those of the group that fix every index of prefix, maps it lower."""
+    q = len(prefix)
+    if q == len(ends):
+        yield prefix
+        return
+    start = 0 if floors[q] is None else prefix[floors[q][0]] + floors[q][1]
+    for i in range(start, ends[q]):
+        if not all(g[i] >= i for g in perms):
+            continue
+        if q + 1 == len(ends):  # the last position: no stabilizer needed
+            yield prefix + (i,)
+        else:
+            fixing = [g for g in perms if g[i] == i]
+            yield from _tuples(prefix + (i,), ends, floors, fixing)
 
 
 # A sweep node is a leaf (1, v, p) or a sum (variables, leaves, products,
@@ -439,7 +524,9 @@ def yau_twist(spec):
 
     Requires the twist to be a multiplicative endomorphism of the
     original product; the result then satisfies the Hom-Malcev identity
-    whenever the original is a Malcev algebra.
+    whenever the original is a Malcev algebra.  It keeps the declared
+    symmetries: one that commutes with the twist and preserves the
+    product also preserves the twisted product.
     """
     require_multiplicative(spec)
     product = {}
@@ -453,4 +540,5 @@ def yau_twist(spec):
         product,
         spec.twist,
         f"{spec.name}~twisted" if spec.name else None,
+        spec.symmetries,
     )

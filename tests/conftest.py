@@ -9,9 +9,9 @@ import pytest
 
 import homcheck
 from homcheck import consequence
-from homcheck.algebras import element_add, multiply
+from homcheck.algebras import Counterexample, element_add, multiply
 from homcheck.dsl import parse_expr
-from homcheck.identities import Identity, Substitution, substitute
+from homcheck.identities import Identity, Substitution, polarize, substitute
 from homcheck.normalform import MPoly, canon, mono_degrees, mono_leaves, normalize
 
 VARS4 = ("w", "x", "y", "z")
@@ -343,6 +343,35 @@ def eval_poly(spec, poly, values):
         return multiply(spec, value(mono[1]), value(mono[2]))
 
     return element_add((c, value(m)) for m, c in poly.coeffs.items())
+
+
+def reference_sweep(spec, ident):
+    """check_identity_concrete with no swap or orbit filter: the
+    polarized identity evaluated at every basis tuple in lexicographic
+    order, in Fraction arithmetic with no tables, and the Counterexample
+    at the first failing tuple, or None.  The value of each monomial is
+    kept per assignment of the variables it contains."""
+    ident = ident if ident.is_multilinear else polarize(ident)
+    memo, variables = {}, {}
+
+    def value(mono, tup):
+        if mono not in variables:
+            variables[mono] = [v for v, _ in mono_leaves(mono)]
+        key = mono, *[tup[v] for v in variables[mono]]
+        if key not in memo:
+            if mono[0] == 1:
+                memo[key] = basis_element(tup[mono[1]])
+                for _ in range(mono[2]):
+                    memo[key] = apply_twist(spec, memo[key])
+            else:
+                memo[key] = multiply(spec, value(mono[1], tup), value(mono[2], tup))
+        return memo[key]
+
+    for tup in itertools.product(range(spec.dim), repeat=len(ident.vars)):
+        residual = element_add((c, value(m, tup)) for m, c in ident.poly.coeffs.items())
+        if residual:
+            return Counterexample(ident.vars, tuple(i + 1 for i in tup), residual)
+    return None
 
 
 def eval_raw(spec, expr, values):

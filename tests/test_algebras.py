@@ -41,6 +41,7 @@ from conftest import (
     parse_tagged,
     random_multilinear,
     random_tagged_expr,
+    reference_sweep,
     swapped,
 )
 
@@ -235,12 +236,63 @@ def test_load_missing_file():
 
 
 def test_dump_roundtrip():
-    for name in ("cross3", "m7_auto", "abelian4"):
+    for name in algebras.BUNDLED:
+        for spec in (bundled(name), yau_twist(bundled(name))):
+            doc = json.loads(json.dumps(dump_algebra(spec)))
+            assert load_algebra(doc, spec.name) == spec
+            assert ("symmetries" in doc) == (name != "abelian4")
+    # an algebra without symmetries dumps the keys it always had
+    assert list(dump_algebra(bundled("abelian4"))) == [
+        "dim", "basis", "product", "twist", "require_multiplicative"
+    ]
+
+
+M7_SYMMETRIES = [[-3, 1, -2, -7, -4, -6, -5], [7, -4, 3, -5, 2, 1, 6]]
+
+# (algebra, declared symmetries, the AlgebraError's message)
+NOT_SYMMETRIES = (
+    ("cross3", [[1, 1, 3]], "'symmetries' must list signed permutations of 1..3"),
+    # e1 <-> e2 maps e1*e2 = e3 to e2*e1 = -e3, and e1 -> -e1 maps it to -e3
+    ("cross3", [[2, 1, 3]], "symmetry [2, 1, 3] does not preserve the product"),
+    ("cross3", [[-1, 2, 3]], "symmetry [-1, 2, 3] does not preserve the product"),
+    # automorphisms of m7_auto's product, which is m7's, but not of its twist
+    ("m7_auto", M7_SYMMETRIES,
+     "symmetry [-3, 1, -2, -7, -4, -6, -5] does not commute with the twist"),
+)
+
+
+def test_bundled_symmetries_generate_their_groups():
+    # the group orders of the signed-permutation automorphisms, signs
+    # dropped; abelian4 declares none
+    for name, order in (("m7", 168), ("cross3", 6), ("m7_auto", 8),
+                        ("cross3_rot", 2), ("abelian4", 1)):
         spec = bundled(name)
-        again = load_algebra(json.loads(json.dumps(dump_algebra(spec))))
-        assert again.dim == spec.dim
-        assert again.product == spec.product
-        assert again.twist == spec.twist
+        assert len(spec.permutations) == len(set(spec.permutations)) == order
+        assert yau_twist(spec).permutations == spec.permutations
+    assert bundled("m7").symmetries == tuple(map(tuple, M7_SYMMETRIES))
+
+
+def test_symmetries_must_be_signed_permutations():
+    doc = dump_algebra(bundled("cross3"))
+    for bad in ({}, [3, 2, 1], [[1, 2]], [[0, 1, 2]], [[1, 2, 4]], [[True, 2, 3]],
+                [[1, 2, "3"]], [[1.0, 2, 3]]):
+        with pytest.raises(AlgebraError, match=r"signed permutations of 1\.\.3"):
+            load_algebra({**doc, "symmetries": bad})
+
+
+def test_a_declared_symmetry_that_is_not_one_is_refused():
+    # the shape is checked on loading, the rest on the first sweep or
+    # dump, of the algebra or of its Yau twist
+    for name, symmetries, message in NOT_SYMMETRIES:
+        doc = {**dump_algebra(bundled(name)), "symmetries": symmetries}
+        for use in (
+            lambda: check_identity_concrete(load_algebra(doc), catalog("hom_malcev")),
+            lambda: dump_algebra(load_algebra(doc)),
+            lambda: yau_twist(load_algebra(doc)).permutations,
+        ):
+            with pytest.raises(AlgebraError) as refused:
+                use()
+            assert str(refused.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -406,17 +458,6 @@ def test_eval_poly_on_catalog_identity():
 # ---------------------------------------------------------------------------
 # the tabulated integer sweep against a plain one
 
-def _reference_sweep(spec, ident):
-    """eval_poly at each basis tuple in lexicographic order, in Fraction
-    arithmetic and with no tables: (1-based tuple, residual) or None."""
-    ident = ident if ident.is_multilinear else polarize(ident)
-    for tup in itertools.product(range(spec.dim), repeat=len(ident.vars)):
-        value = eval_poly(spec, ident.poly, [basis_element(i) for i in tup])
-        if value:
-            return tuple(i + 1 for i in tup), value
-    return None
-
-
 def test_concrete_sweep_matches_reference_sweep():
     rng = random.Random(5)
     specs = [_random_spec(rng, multiplicative=False) for _ in range(16)]
@@ -427,12 +468,8 @@ def test_concrete_sweep_matches_reference_sweep():
     for spec in specs:
         for name in names:
             got = check_identity_concrete(spec, catalog(name))
-            want = _reference_sweep(spec, catalog(name))
+            assert got == reference_sweep(spec, catalog(name)), name
             verdicts.add(got is None)
-            if want is None:
-                assert got is None, name
-            else:
-                assert (got.tuple_indices, got.residual) == want, name
     assert verdicts == {True, False}
 
 
@@ -472,15 +509,35 @@ def test_symmetry_reduced_sweep_matches_reference_sweep():
     for spec in specs:
         for ident in idents + unused:
             got = check_identity_concrete(spec, ident)
-            want = _reference_sweep(spec, ident)
+            assert got == reference_sweep(spec, ident)
             verdicts.add(got is None)
             if ident in unused:
                 unused_verdicts.add(got is None)
-            if want is None:
-                assert got is None
-            else:
-                assert (got.tuple_indices, got.residual) == want
     assert verdicts == unused_verdicts == {True, False}
+
+
+def test_orbit_sweep_matches_plain_sweep_on_bundled_algebras():
+    # each bundled algebra and its Yau twist declares its symmetries (but
+    # abelian4); the failing tuples are a union of orbits of their group,
+    # so the first failing tuple and its residual are the plain sweep's.
+    # A Yau twist with the same product (twist Id, or the zero product)
+    # is the algebra itself, and is swept once.
+    rng = random.Random(33)
+    idents = [catalog(name) for name in CATALOG_NAMES]
+    idents += [random_multilinear(rng) for _ in range(10)]
+    specs = []
+    for name in algebras.BUNDLED:
+        spec = bundled(name)
+        twisted = yau_twist(spec)
+        specs += [spec] if twisted.product == spec.product else [spec, twisted]
+    assert len(specs) == 7
+    firsts = set()
+    for spec in specs:
+        for ident in idents:
+            got = check_identity_concrete(spec, ident)
+            assert got == reference_sweep(spec, ident), (spec.name, ident.name)
+            firsts.add(got and got.tuple_indices)
+    assert {None, (1, 2, 1, 3), (1, 1, 2, 4)} < firsts
 
 
 VANISHING_PARTNER_CASE = "w*(x*(y*z)) - w*(y*(x*z)) + (w*x)*(y*z)"
@@ -536,20 +593,34 @@ def _count_root_work(monkeypatch):
 
 
 def test_sweep_visits_one_tuple_per_orbit(monkeypatch):
-    # the sweep evaluates the identity's root node once per tuple it visits
+    # the sweep evaluates the identity's root node once per tuple it
+    # visits: one per orbit of the variable swaps without symmetries
+    # (abelian4), far fewer under m7's group of 168 permutations, and
+    # more under the 8 of twisted m7_auto (1372, 441 and 784 tuples
+    # modulo the swaps alone)
     specs = {name: bundled(name) for name in ("m7", "cross3", "abelian4")}
+    specs["twisted"] = yau_twist(bundled("m7_auto"))
+    # a file without symmetries sweeps as before they existed
+    doc = dump_algebra(specs["m7"])
+    del doc["symmetries"]
+    specs["m7 without symmetries"] = load_algebra(doc)
     counts = _count_root_work(monkeypatch)
     for spec, name, count in (
-        ("m7", "hom_malcev", 1372),
-        ("m7", "identity_1_2", 441),
-        ("m7", "eq_2_2", 784),
+        ("m7 without symmetries", "hom_malcev", 1372),
+        ("m7 without symmetries", "identity_1_2", 441),
+        ("m7", "hom_malcev", 18),
+        ("m7", "identity_1_2", 9),
+        ("m7", "eq_2_2", 21),
+        ("twisted", "hom_malcev", 217),
+        ("twisted", "identity_1_2", 86),
         ("cross3", "hom_jacobi", 1),
         ("abelian4", "hom_jacobi", 4),
         # a variable the identity does not contain is swept at index 0
         # only; sweeping v (and w, one symmetric block) over every index
-        # would visit 3 and 28 * 1372 = 38 416 tuples
+        # would visit 3 tuples, and 28 * 1372 = 38 416 on m7 modulo the
+        # swaps alone
         ("cross3", UNUSED_VARIABLE_CASES[0], 1),
-        ("m7", UNUSED_VARIABLE_CASES[1], 1372),
+        ("m7", UNUSED_VARIABLE_CASES[1], 85),
     ):
         counts["roots"] = 0
         ident = catalog(name) if name in CATALOG_NAMES else identity_from_dsl(name)
@@ -561,9 +632,14 @@ def test_sweep_does_one_product_per_first_child(monkeypatch):
     # at each visited tuple, the root does one product per distinct first
     # child of the top monomials: 8 -> 5 for hom_malcev, 9 -> 5 for
     # identity_1_2
-    spec = bundled("m7")
+    m7, twisted = bundled("m7"), yau_twist(bundled("m7_auto"))
     counts = _count_root_work(monkeypatch)
-    for name, tuples in (("hom_malcev", 1372), ("identity_1_2", 441)):
+    for spec, name, tuples in (
+        (m7, "hom_malcev", 18),
+        (m7, "identity_1_2", 9),
+        (twisted, "hom_malcev", 217),
+        (twisted, "identity_1_2", 86),
+    ):
         counts["top products"] = 0
         firsts = {mono[1] for mono in polarize(catalog(name)).poly.coeffs}
         assert len(firsts) == 5

@@ -11,6 +11,7 @@ from homcheck.consequence import SearchBounds, derive
 from homcheck.identities import catalog
 
 from conftest import child_env
+from test_algebras import NOT_SYMMETRIES
 
 
 def run(capsys, *argv):
@@ -380,6 +381,16 @@ def test_check_refuses_non_multiplicative_twist(capsys, tmp_path):
     )
 
 
+def test_declared_symmetries_that_are_not_ones_are_invalid_files(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    for name, symmetries, message in NOT_SYMMETRIES:
+        doc = {**dump_algebra(load_algebra_file(name)), "symmetries": symmetries}
+        path.write_text(json.dumps(doc))
+        for argv in (("check", str(path), "hom_malcev"), ("twist", str(path))):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (3, "", f"invalid algebra: {message}\n"), argv
+
+
 def test_check_rational_counterexamples(capsys):
     # cross3_rot's twist has denominator 5, so its residuals are fractions
     for ident, tup, residual in (
@@ -400,6 +411,8 @@ def test_twist_roundtrip(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out_path.read_text())
     assert doc["dim"] == 7 and doc["require_multiplicative"] is True
+    # a symmetry that commutes with the twist preserves the twisted product
+    assert doc["symmetries"] == [[-1, 6, 7, 4, -5, -2, -3], [1, -3, 2, 5, -4, 6, 7]]
     code, out, _ = run(capsys, "check", str(out_path), "hom_malcev")
     assert code == 0 and out.strip() == "Holds"
 

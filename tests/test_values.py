@@ -95,7 +95,7 @@ def test_keyword_construction_and_defaults():
     s1, s2 = Step(1, "t", True), Step(number=1, title="t", passed=True)
     assert s1 == s2 and (s1.detail, s1.certificates) == ("", [])
     assert s1.certificates is not s2.certificates  # a fresh list each
-    assert algebra().name is None
+    assert (algebra().name, algebra().symmetries) == (None, ())
     assert AlgebraSpec(dim=2, basis=("e1", "e2"), product={},
                        twist=algebra().twist, name="n").name == "n"
     assert Counterexample(variables=("x",), tuple_indices=(1,), residual={}) \
