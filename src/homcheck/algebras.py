@@ -391,7 +391,10 @@ def check_identity_concrete(spec, ident):
     The sweep keeps an index only when it passes this test under the
     permutations that fix the earlier indices, so it visits the least
     failing tuple, and every tuple it skips is not the least failing
-    one.
+    one.  At a position whose variable f does not contain, the
+    permutations pass through unnarrowed, not only those that fix index
+    0.  This is sound because the least failing tuple has index 0 at
+    every such position, whatever the permutation does there.
 
     The sweep runs in integers, over ``spec.integer_form``: a monomial
     with L leaves and twist powers summing to P evaluates to
@@ -440,7 +443,8 @@ def _tuples(prefix, ends, floors, perms):
     """The tuples check_identity_concrete visits that extend prefix, in
     lexicographic order.  The index at position q runs from its block's
     floor to ends[q], and is kept only when no permutation in perms,
-    those of the group that fix every index of prefix, maps it lower."""
+    those of the group that fix prefix's index at every position f
+    depends on, maps it lower."""
     q = len(prefix)
     if q == len(ends):
         yield prefix
@@ -452,7 +456,8 @@ def _tuples(prefix, ends, floors, perms):
         if q + 1 == len(ends):  # the last position: no stabilizer needed
             yield prefix + (i,)
         else:
-            fixing = [g for g in perms if g[i] == i]
+            # a position f does not depend on constrains no permutation
+            fixing = perms if ends[q] == 1 else [g for g in perms if g[i] == i]
             yield from _tuples(prefix + (i,), ends, floors, fixing)
 
 

@@ -11,6 +11,12 @@ writes the algebra's JSON document) to JSON output.  derive, check and
 verify-paper compute a result and print what it renders: its
 ``to_obj()`` as JSON or its ``to_text()``, or for check's "holds"
 verdict, which has no result object, ``algebras.HOLDS``.
+
+The table ``COMMANDS`` declares each subcommand.  ``main`` builds the
+parser of the command it runs only: the top-level parser and that one
+subparser, with the same output as the whole tree (see
+``build_parser``).  Any other argv, such as ``-h`` or a typo, gets all
+seven subparsers.
 """
 
 from __future__ import annotations
@@ -155,74 +161,78 @@ def cmd_twist(args):
     return EXIT_OK
 
 
-def build_parser():
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+_K = ("--K", {"dest": "max_alpha_power", "type": int,
+              "default": DEFAULT_MAX_ALPHA_POWER,
+              "help": "max twist power on substituted leaves"})
+_ALGEBRA = ("algebra", {"help": "algebra JSON path or bundled name"})
+
+# name -> (help, handler, argument specs), in --help order; a spec is the
+# argument's names followed by add_argument's keywords
+COMMANDS = {
+    "normalize": ("print the canonical normal form", cmd_normalize,
+                  (("expr", {}), _FORMAT)),
+    "equal": ("compare two expressions semantically", cmd_equal,
+              (("expr1", {}), ("expr2", {}), _FORMAT)),
+    "polarize": ("fully multilinearize an identity", cmd_polarize,
+                 (("identity", {"help": "catalog name or DSL expression"}), _FORMAT)),
+    "derive": ("consequence check with certificate", cmd_derive, (
+        ("--target", {"required": True, "help": "catalog name or expression"}),
+        ("--axiom", {"action": "append", "required": True,
+                     "help": "catalog name or expression (repeatable)"}),
+        _FORMAT, _K)),
+    "verify-paper": ("run the nine-step replay", cmd_verify_paper, (_FORMAT, _K)),
+    "check": ("evaluate an identity in a concrete algebra", cmd_check,
+              (_ALGEBRA, ("identity", {"help": "catalog name or expression"}), _FORMAT)),
+    "twist": ("apply the twisting construction to an algebra", cmd_twist,
+              (_ALGEBRA, ("-o", "--output", {"help": "write the twisted algebra here"}))),
+}
+
+
+def build_parser(argv=None):
+    """The argument parser: every command's subparser, or only the one
+    that ``argv[0]`` names.
+
+    The two parse argv alike.  The top-level parser has only ``-h`` and
+    the command positional, and when ``argv[0]`` names a command,
+    argparse hands the rest of argv to that one subparser, whatever other
+    subparsers exist.  A subparser's ``prog`` ("homcheck normalize") is
+    fixed by ``add_subparsers`` before any subparser is added, so its
+    usage, help and error lines read the same.  Only arguments the
+    subparser does not recognize come back to the top-level parser, whose
+    error repeats its usage line, which lists the commands it has; so
+    ``parse_args`` has the whole tree report them.  Any other argv (none,
+    ``-h``, ``--``, a typo) gets the whole tree, whose help and "invalid
+    choice" error list every command.
+    """
     parser = argparse.ArgumentParser(
         prog="homcheck",
         description="Symbolic and concrete verification of anticommutative "
         "Hom-algebra identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, k=False):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        if k:
-            p.add_argument(
-                "--K",
-                dest="max_alpha_power",
-                type=int,
-                default=DEFAULT_MAX_ALPHA_POWER,
-                help="max twist power on substituted leaves",
-            )
-
-    p = sub.add_parser("normalize", help="print the canonical normal form")
-    p.add_argument("expr")
-    common(p)
-    p.set_defaults(fn=cmd_normalize)
-
-    p = sub.add_parser("equal", help="compare two expressions semantically")
-    p.add_argument("expr1")
-    p.add_argument("expr2")
-    common(p)
-    p.set_defaults(fn=cmd_equal)
-
-    p = sub.add_parser("polarize", help="fully multilinearize an identity")
-    p.add_argument("identity", help="catalog name or DSL expression")
-    common(p)
-    p.set_defaults(fn=cmd_polarize)
-
-    p = sub.add_parser("derive", help="consequence check with certificate")
-    p.add_argument("--target", required=True, help="catalog name or expression")
-    p.add_argument(
-        "--axiom",
-        action="append",
-        required=True,
-        help="catalog name or expression (repeatable)",
-    )
-    common(p, k=True)
-    p.set_defaults(fn=cmd_derive)
-
-    p = sub.add_parser("verify-paper", help="run the nine-step replay")
-    common(p, k=True)
-    p.set_defaults(fn=cmd_verify_paper)
-
-    p = sub.add_parser("check", help="evaluate an identity in a concrete algebra")
-    p.add_argument("algebra", help="algebra JSON path or bundled name")
-    p.add_argument("identity", help="catalog name or expression")
-    common(p)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("twist", help="apply the twisting construction to an algebra")
-    p.add_argument("algebra", help="algebra JSON path or bundled name")
-    p.add_argument("-o", "--output", help="write the twisted algebra here")
-    p.set_defaults(fn=cmd_twist)
-
+    for name in [argv[0]] if argv and argv[0] in COMMANDS else COMMANDS:
+        help_, fn, specs = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for *names, kwargs in specs:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
+def parse_args(argv):
+    """argv parsed by the parser build_parser(argv) builds, with the
+    output and exit of the whole tree's ``parse_args``."""
+    args, extra = build_parser(argv).parse_known_args(argv)
+    if extra:
+        build_parser().parse_args(argv)  # exits with the full usage line
+    return args
+
+
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 from homcheck.algebras import dump_algebra, load_algebra_file
-from homcheck.cli import main
+from homcheck.cli import COMMANDS, build_parser, main, parse_args
 from homcheck.consequence import SearchBounds, derive
 from homcheck.identities import catalog
 
@@ -320,6 +321,14 @@ PINNED = {
 }
 
 
+def _assert_golden(name, code, out, err):
+    with open(os.path.join(GOLDEN_CLI, f"{name}.out"), newline="") as fh:
+        assert out == fh.read()
+    with open(os.path.join(GOLDEN_CLI, "results.json")) as fh:
+        want = json.load(fh)[name]
+    assert {"exit": code, "stderr": err} == want
+
+
 @pytest.mark.parametrize("fmt", ("text", "json"))
 @pytest.mark.parametrize("case", PINNED)
 def test_output_is_pinned(capsys, monkeypatch, case, fmt):
@@ -328,11 +337,86 @@ def test_output_is_pinned(capsys, monkeypatch, case, fmt):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     code, out, err = run(capsys, *argv, "--format", fmt)
-    with open(os.path.join(GOLDEN_CLI, f"{case}-{fmt}.out"), newline="") as fh:
-        assert out == fh.read()
-    with open(os.path.join(GOLDEN_CLI, "results.json")) as fh:
-        want = json.load(fh)[f"{case}-{fmt}"]
-    assert {"exit": code, "stderr": err} == want
+    _assert_golden(f"{case}-{fmt}", code, out, err)
+
+
+# case -> argv of a help or usage-error call, pinned like PINNED's cases
+# but in one run each: stdout in golden/cli/<case>.out, exit code and
+# stderr under "<case>" in results.json
+USAGE = {
+    "help": ["-h"],
+    "derive_help": ["derive", "-h"],
+    "unknown_command": ["frobnicate"],
+}
+
+
+@pytest.mark.parametrize("case", USAGE)
+def test_usage_output_is_pinned(capsys, monkeypatch, case):
+    # argparse wraps help and usage to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    _assert_golden(case, *run(capsys, *USAGE[case]))
+
+
+# command -> arguments of one valid call
+VALID = {
+    "normalize": ["x*y"],
+    "equal": ["x", "y"],
+    "polarize": ["hom_malcev"],
+    "derive": ["--target", "identity_1_2", "--axiom", "hom_malcev", "--K", "1"],
+    "verify-paper": ["--K", "0"],
+    "check": ["m7", "hom_malcev"],
+    "twist": ["cross3", "-o", "twisted.json"],
+}
+
+
+def _parsed(capsys, parse, argv):
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+def test_each_command_parses_as_the_whole_tree(capsys, monkeypatch):
+    # main parses with the invoked command's parser only; the result, the
+    # exit code and every help, usage and error line are the whole tree's
+    monkeypatch.setenv("COLUMNS", "80")
+    assert list(VALID) == list(COMMANDS)
+    argvs = [[], ["-h"], ["--"], ["--", "normalize", "x"], ["frobnicate"]]
+    for name, valid in VALID.items():
+        argvs += [
+            [name, *valid],
+            [name, *valid, "-h"],
+            [name],  # a missing required argument, except for verify-paper
+            [name, *valid, "--format", "xml"],
+            [name, *valid, "--K", "x"],
+            [name, *valid, "--frobnicate"],
+        ]
+    for argv in argvs:
+        whole = _parsed(capsys, lambda a: build_parser().parse_args(a), argv)
+        assert _parsed(capsys, parse_args, argv) == whole, argv
+
+
+def test_main_builds_only_the_invoked_commands_parser(capsys, monkeypatch):
+    built = [0]
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    # the top-level parser and normalize's, or all eight for a typo
+    for argv, parsers in ((["normalize", "x"], 2), (["frobnicate"], 8)):
+        built[0] = 0
+        main(argv)
+        assert built[0] == parsers, argv
+    # without argv, main reads sys.argv itself
+    monkeypatch.setattr(sys, "argv", ["homcheck", "normalize", "y*x"])
+    built[0] = 0
+    capsys.readouterr()
+    assert (main(), capsys.readouterr().out, built[0]) == (0, "-x*y\n", 2)
 
 
 def test_check_missing_file(capsys):
