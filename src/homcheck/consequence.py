@@ -23,10 +23,13 @@ since the two factors share no variable, ordering them is their
 canonical form, so no tree is normalized or met twice.  A first pass
 sorts the picks (one monomial per axiom variable) into weight levels
 without substituting anything; each level is then substituted and
-deduplicated only when elimination reads that far.  Elimination pivots
-on the first nonzero entry in monomial order and stops at the first
-instance that empties the residual, so a certified derivation builds
-only the instances up to its last certificate row, whatever K is.
+deduplicated only when elimination reads that far.  A ``Span`` holds
+the instances drawn so far and the pivot rows reduced from them.
+Elimination pivots on the first nonzero entry in monomial order and
+stops at the first instance that empties the residual, so a certified
+derivation builds only the instances up to its last certificate row,
+whatever K is, and a later target asked of the same span reduces only
+the instances that no earlier target needed.
 
 Grading.  The twisting map pushes through products, so the number
 ``depth + twist power`` of each leaf survives normalization.  Most
@@ -238,47 +241,10 @@ def _set_partitions(items, blocks):
     yield from rec(0, [], 0)
 
 
-class _LazySequence(Sequence):
-    """A read-only sequence over an iterator that draws each item only when
-    it is first asked for and keeps every item drawn.  Iterating and
-    non-negative indexing draw no further than needed; ``len``, negative
-    indices and slices draw everything."""
-
-    def __init__(self, source):
-        self._source = iter(source)
-        self._items = []
-
-    def _draw(self, count=None):
-        # draw ``count`` more items, or all that remain when count is None
-        self._items.extend(
-            self._source if count is None else itertools.islice(self._source, count)
-        )
-
-    def __iter__(self):
-        items = self._items
-        for i in itertools.count():
-            if i == len(items):
-                self._draw(1)
-                if i == len(items):
-                    return
-            yield items[i]
-
-    def __len__(self):
-        self._draw()
-        return len(self._items)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice) or index < 0:
-            self._draw()
-        elif index >= len(self._items):
-            self._draw(index + 1 - len(self._items))
-        return self._items[index]
-
-
 def generate_instances(axiom, target_vars, bounds=None, components=None):
     """Substitution instances of a multilinear axiom over the target
     variables, deduplicated up to overall rational scaling, as a lazy
-    sequence in weight order.
+    sequence in weight order: a ``Span`` that has reduced none of them.
 
     For every partition of the target variables into len(axiom.vars)
     nonempty blocks, every assignment of blocks to axiom variables and
@@ -320,7 +286,7 @@ def generate_instances(axiom, target_vars, bounds=None, components=None):
             f"axiom has {b} variables but the target only {n}"
         )
     grades = None if components is None else axiom.grades
-    return _LazySequence(_instances(
+    return Span(_instances(
         axiom, target_vars, bounds.max_alpha_power, grades, components
     ))
 
@@ -432,52 +398,114 @@ def _reduce(vec, combo, pivots):
         _content_reduce(vec, combo)
 
 
-def span_membership(target, instances):
-    """Decide whether target.poly lies in the rational span of the instances.
+class Span(Sequence):
+    """The rational span of a lazily drawn sequence of instances, with the
+    pivots reduced from the instances read so far.
 
-    Returns a Certificate on success, NotInSpan (with the unreachable
+    As a sequence it is read-only: each instance is drawn from the source
+    iterator only when it is first asked for, and every instance drawn is
+    kept.  Iterating and non-negative indexing draw no further than needed;
+    ``len``, negative indices and slices draw everything, and none of them
+    reduces anything.
+
+    ``member(target)`` decides whether target.poly lies in the span and
+    returns a Certificate on success, NotInSpan (with the unreachable
     residual) otherwise.  Elimination is exact, and one routine, _reduce,
     reduces the target and the instances alike: each is an integer row
     with the combo of inputs it sums (the target under key _TARGET,
     instances by index), and each pivot row's pivot is its smallest
     monomial, so fully reducing against available pivots terminates and
-    removes every reachable monomial.  The target row is reduced after
-    every new pivot it contains; divided by its _TARGET entry it is the
-    residual.  ``instances`` is read in order and no further once the
-    residual is empty.
+    removes every reachable monomial.  The target row is first reduced
+    against the pivots the span already has.  While it is nonzero, further
+    instances are read in order, each reduced to a new pivot row or to
+    zero, and the target row is reduced after every new pivot it contains;
+    divided by its _TARGET entry it is the residual.  So no instance is
+    read, or reduced, past the one that empties the residual, and none is
+    reduced twice, however many targets ask.
+
+    Why a shared span gives the results of a fresh one.  A pivot row
+    depends only on the instances reduced before it, in order, and never
+    on a target.  The pivot rows have distinct pivots, each the smallest
+    monomial of its row, so they are independent, and every combo is over
+    the instances that gave a pivot.  A target in the span therefore has
+    unique coordinates in those instances: its certificate rows and their
+    Fraction coefficients do not depend on how far earlier queries read.
+    A fully reduced row holds no pivot, while a nonzero element of the span
+    holds the least pivot of the rows it combines, so the residual modulo
+    the span is unique too.  The same argument makes a pivot row's sign
+    irrelevant, so it is kept as reduced: _reduce clears the pivot
+    monomial whatever its sign, _content_reduce divides by a positive gcd,
+    the coefficients and the residual are unique rationals, and
+    Fraction(c, scale) reads the same when scale is negative.
     """
-    pivots = {}  # pivot monomial -> (int row dict, int combo dict)
-    residual, tcombo = _integer_row(target.poly, _TARGET)
-    for idx, inst in enumerate(instances if residual else ()):
-        vec, combo = _integer_row(inst.identity.poly, idx)
-        _reduce(vec, combo, pivots)
-        if not vec:
-            continue
-        lead = min(vec)
-        if vec[lead] < 0:
-            vec = {m: -c for m, c in vec.items()}
-            combo = {i: -c for i, c in combo.items()}
-        pivots[lead] = (vec, combo)
-        if lead in residual:
-            _reduce(residual, tcombo, pivots)
-            if not residual:
-                break  # certified: read no further instances
 
-    scale = tcombo[_TARGET]
-    if residual:
-        residual = MPoly({m: Fraction(c, scale) for m, c in residual.items()})
-        return NotInSpan(residual, target=target)
-    rows = [
-        (instances[i], Fraction(-c, scale))
-        for i, c in sorted(tcombo.items()) if i != _TARGET
-    ]
-    cert = Certificate(target, rows)
-    if cert.replay() != target.poly:
-        raise RuntimeError("certificate replay mismatch")
-    return cert
+    def __init__(self, source):
+        self._source = iter(source)
+        self._items = []
+        self._pivots = {}  # pivot monomial -> (int row dict, int combo dict)
+        self._reduced = 0  # the instances read into the pivots, a prefix
+
+    def _draw(self, count=None):
+        # draw ``count`` more items, or all that remain when count is None
+        self._items.extend(
+            self._source if count is None else itertools.islice(self._source, count)
+        )
+
+    def __len__(self):
+        self._draw()
+        return len(self._items)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice) or index < 0:
+            self._draw()
+        elif index >= len(self._items):
+            self._draw(index + 1 - len(self._items))
+        return self._items[index]
+
+    def member(self, target):
+        """A Certificate of target.poly over the instances, or NotInSpan."""
+        pivots, start = self._pivots, self._reduced
+        residual, tcombo = _integer_row(target.poly, _TARGET)
+        _reduce(residual, tcombo, pivots)
+        unread = itertools.islice(self, start, None) if residual else ()
+        for idx, inst in enumerate(unread, start):
+            vec, combo = _integer_row(inst.identity.poly, idx)
+            _reduce(vec, combo, pivots)
+            self._reduced = idx + 1
+            if not vec:
+                continue
+            lead = min(vec)
+            pivots[lead] = (vec, combo)
+            if lead in residual:
+                _reduce(residual, tcombo, pivots)
+                if not residual:
+                    break  # certified: read no further instances
+
+        scale = tcombo[_TARGET]
+        if residual:
+            residual = MPoly({m: Fraction(c, scale) for m, c in residual.items()})
+            return NotInSpan(residual, target=target)
+        rows = [
+            (self._items[i], Fraction(-c, scale))
+            for i, c in sorted(tcombo.items()) if i != _TARGET
+        ]
+        cert = Certificate(target, rows)
+        if cert.replay() != target.poly:
+            raise RuntimeError("certificate replay mismatch")
+        return cert
 
 
-def derive(target, axioms, bounds=None, streams=None):
+def span_membership(target, instances):
+    """Decide whether target.poly lies in the rational span of the
+    instances: ``Span.member``.  ``instances`` is a Span, which keeps the
+    pivots this call reduces, or any other iterable, which is read into a
+    new Span; either is read in order and no further once the residual is
+    empty."""
+    span = instances if isinstance(instances, Span) else Span(instances)
+    return span.member(target)
+
+
+def derive(target, axioms, bounds=None, spans=None):
     """End-to-end consequence check: polarize target and axioms as
     needed, enumerate instances, decide span membership.
 
@@ -486,20 +514,21 @@ def derive(target, axioms, bounds=None, streams=None):
     the variables they do not contain, so a freely vanishing axiom
     contributes no instances, nor does an axiom with more variables than
     the target; both are named in ``axioms_skipped``.  The instances of
-    all axioms, in axiom order, form one lazy sequence, so generation
-    stops at the first instance that certifies the target.  When every
+    all axioms, in axiom order, form one ``Span``, so generation stops at
+    the first instance that certifies the target.  When every
     remaining axiom is graded, each enumerates only the picks that land
     in a component of the polarized target; otherwise all instances up
     to K are enumerated.  Either way the result is the same.
 
-    ``streams``, when given, is a dict the caller owns, in which each
-    axiom's lazy instance sequence is kept under everything that
-    sequence depends on: the prepared axiom (an Identity hashes its
-    variables, polynomial and name), the target's variables, its
-    ``components`` (None on the ungraded path) and K.  Derives passed the
-    same dict then read one sequence, each only as far as it needs, and
-    get the results a fresh enumeration gives.  A derive that raised may
-    leave a sequence cut short, so drop the dict after an exception.
+    ``spans``, when given, is a dict the caller owns, in which the Span
+    is kept under everything it depends on: the tuple of the used
+    prepared axioms (an Identity hashes its variables, polynomial and
+    name), the target's variables, its ``components`` (None on the
+    ungraded path) and K.  Derives passed the same dict then share one
+    span: each reads its instances only as far as it needs, reduces only
+    those no earlier derive reduced, and gets the result a fresh derive
+    gives (see ``Span``).  A derive that raised may leave a span cut
+    short, so drop the dict after an exception.
 
     Returns (result, polarized_target) where result is a Certificate or
     NotInSpan whose ``target`` is that same polarized target; a NotInSpan
@@ -524,17 +553,14 @@ def derive(target, axioms, bounds=None, streams=None):
     grades = [ax.grades for ax in used]
     graded = None not in grades
     components = target.components if graded else None
-    lazy = []
-    for ax in used:
-        key = (ax, target.vars, components, bounds.max_alpha_power)
-        stream = None if streams is None else streams.get(key)
-        if stream is None:
-            stream = generate_instances(ax, target.vars, bounds, components)
-            if streams is not None:
-                streams[key] = stream
-        lazy.append(stream)
-    instances = _LazySequence(itertools.chain.from_iterable(lazy))
-    result = span_membership(target, instances)
+    spans = {} if spans is None else spans
+    key = (tuple(used), target.vars, components, bounds.max_alpha_power)
+    span = spans.get(key)
+    if span is None:
+        span = spans[key] = Span(itertools.chain.from_iterable([
+            generate_instances(ax, target.vars, bounds, components) for ax in used
+        ]))
+    result = span_membership(target, span)
     if isinstance(result, NotInSpan):
         k_saturated = None
         if graded:

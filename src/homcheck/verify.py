@@ -25,9 +25,10 @@ The runner ANDs a step's verdicts, joins the non-empty details with
 "; " and appends any failed premise, which fails the step.
 
 Each job is done once per call.  Steps 3-8 pass one dict to ``derive``,
-so derives over the same axiom, variables, components and K read one
-lazy instance stream (steps 4-7 all read the hom_malcev stream over
-w, x, y, z).  Each identity and DSL text is built once, each bundled
+so derives over the same axioms, variables, components and K share one
+``Span``, its instances and the pivots reduced from them (steps 4-7 all
+read the hom_malcev span over w, x, y, z, and no instance is reduced
+twice).  Each identity and DSL text is built once, each bundled
 algebra is loaded once by its bundled name, never from the working
 directory, and step 9 sweeps hom_malcev once per algebra.
 """
@@ -140,12 +141,12 @@ class Report(Record):
 
 
 class _Run:
-    """One replay: its bounds, the instance streams steps 3-8 share, and
-    the identities and algebras it has built; each check returns its
-    verdict and detail."""
+    """One replay: its bounds, the spans steps 3-8 share, and the
+    identities and algebras it has built; each check returns its verdict
+    and detail."""
 
     def __init__(self, bounds):
-        self.bounds, self.streams = bounds, {}
+        self.bounds, self.spans = bounds, {}
         self.identity = cache(
             lambda src: identity_from_dsl(src) if ";" in src else catalog(src)
         )
@@ -167,7 +168,7 @@ class _Run:
 
     def _derive(self, target, axiom, label=""):
         res, _ = derive(self.identity(target), [self.identity(axiom)],
-                        self.bounds, self.streams)
+                        self.bounds, self.spans)
         if isinstance(res, Certificate):
             self.certificates.append(res)
             return True, f"{label}certificate with {len(res.rows)} rows"

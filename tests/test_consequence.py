@@ -459,8 +459,7 @@ def full_path(target, axioms, bounds):
         ax = axiom if axiom.is_multilinear else polarize(axiom)
         if len(ax.vars) <= len(target.vars):
             streams.append(generate_instances(ax, target.vars, bounds))
-    instances = consequence._LazySequence(itertools.chain.from_iterable(streams))
-    return span_membership(target, instances), target
+    return span_membership(target, itertools.chain.from_iterable(streams)), target
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -647,8 +646,22 @@ def test_certificate_is_linear_in_the_target(k):
     ]
 
 
+def assert_fresh(got, want):
+    """A derive's (result, polarized target) equals a fresh derive's."""
+    (got, got_target), (want, want_target) = got, want
+    assert type(got) is type(want)
+    assert got_target == want_target
+    if isinstance(want, Certificate):
+        assert got.to_json() == want.to_json()
+        assert [i.identity for i, _ in got.rows] == [i.identity for i, _ in want.rows]
+    else:
+        assert got.residual == want.residual
+        assert got.k_saturated == want.k_saturated
+        assert got.axioms_skipped == want.axioms_skipped
+
+
 def test_shared_streams_give_fresh_results(monkeypatch):
-    # one dict across derives that share a stream, differ in component
+    # one spans dict across derives that share a span, differ in component
     # ((4,4,4,4) for the twisted eq_2_2, against (3,3,3,3)), in variables,
     # in K or in the axiom's polynomial alone, or take the ungraded path;
     # each result equals a fresh derive
@@ -681,26 +694,36 @@ def test_shared_streams_give_fresh_results(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(consequence, "generate_instances", counted)
-    streams = {}
-    for (target, axioms, bounds), (want, want_target) in zip(cases, fresh):
-        got, got_target = derive(target, axioms, bounds, streams)
-        assert type(got) is type(want)
-        assert got_target == want_target
-        if isinstance(want, Certificate):
-            assert got.to_json() == want.to_json()
-            assert [i.identity for i, _ in got.rows] == [
-                i.identity for i, _ in want.rows
-            ]
-        else:
-            assert got.residual == want.residual
-            assert got.k_saturated == want.k_saturated
-            assert got.axioms_skipped == want.axioms_skipped
-    # eq_2_2, J(w*x,a(y),a(z)) and the graded identity_1_2 read one stream
-    assert len(streams) == len(built) == 7
+    spans = {}
+    for (target, axioms, bounds), want in zip(cases, fresh):
+        assert_fresh(derive(target, axioms, bounds, spans), want)
+    # eq_2_2, J(w*x,a(y),a(z)) and the graded identity_1_2 share one span;
+    # the ungraded [malcev, hom_malcev] derive is one span over the
+    # instances of both axioms
+    assert len(spans) == 6 and len(built) == 7
     assert [type(r).__name__ for r, _ in fresh] == [
         "Certificate", "NotInSpan", "Certificate", "Certificate", "NotInSpan",
         "Certificate", "Certificate", "Certificate", "Certificate",
     ]
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_span_results_do_not_depend_on_query_order(k):
+    # the hom_malcev targets of verify-paper and four refute targets, asked
+    # of one spans dict in order (NotInSpan on a span that certificates
+    # have partly read) and reversed (certificates on a span read to the
+    # end); every result equals a fresh derive
+    bounds, axioms = SearchBounds(k), [catalog("hom_malcev")]
+    targets = [named(t) for t in PAPER_TARGETS[:6] + REFUTE_TARGETS[:4]]
+    fresh = [derive(t, axioms, bounds) for t in targets]
+    assert {type(r) for r, _ in fresh} == {Certificate, NotInSpan}
+    for order in (range(len(targets)), reversed(range(len(targets)))):
+        spans, got = {}, {}
+        for i in order:
+            got[i] = derive(targets[i], axioms, bounds, spans)
+        assert len(spans) == 2  # G(y,x,y,z) has its own variables
+        for i, want in enumerate(fresh):
+            assert_fresh(got[i], want)
 
 
 def test_instance_dedup_is_exact():

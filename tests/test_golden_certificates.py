@@ -81,8 +81,8 @@ def test_not_in_span_residual_is_unchanged(stem, k):
 
 @pytest.mark.parametrize("k", range(4))
 def test_verify_paper_certificates_are_unchanged(k):
-    # steps 3-8 share instance streams; their certificates are the ones
-    # each derive gives on its own
+    # steps 3-8 share spans, their instances and pivots; their certificates
+    # are the ones each derive gives on its own
     steps = {s.number: s for s in verify_paper(SearchBounds(k)).steps}
     for number, stems in STEP_STEMS.items():
         certificates = steps[number].certificates

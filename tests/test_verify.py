@@ -1,7 +1,7 @@
 """The free checks of the paper replay fail when their symmetry is wrong,
 a failed derive fails only its own step, step 9 fails when a premise of
 its single sweep does not hold or a sweep fails, and each replay builds
-its own instance streams, sweeps and loads."""
+its own spans, sweeps and loads."""
 
 from homcheck import algebras, consequence, verify
 from homcheck.consequence import SearchBounds
@@ -136,7 +136,7 @@ def test_step_9_checks_that_malcev_is_the_stripped_hom_malcev(monkeypatch):
 
 
 def test_replays_share_streams_within_a_call_only(monkeypatch):
-    # steps 3-8 need three streams: hom_malcev over G's repeated-argument
+    # steps 3-8 need three spans: hom_malcev over G's repeated-argument
     # variables, hom_malcev over w,x,y,z (steps 4-7) and identity_1_2
     built = []
     real = consequence.generate_instances
@@ -151,6 +151,26 @@ def test_replays_share_streams_within_a_call_only(monkeypatch):
     second = verify.verify_paper(K0)
     assert built == ["hom_malcev", "hom_malcev", "identity_1_2"] * 2
     assert first.to_obj() == second.to_obj()
+
+
+def test_replays_reduce_each_instance_row_once(monkeypatch):
+    # steps 4-7 ask five targets of one hom_malcev span over w,x,y,z, and
+    # each instance row a replay needs is reduced once: 16 rows, where an
+    # elimination per derive reduces 44; a second replay starts afresh
+    rows = []
+    real = consequence._integer_row
+
+    def counted(poly, key):
+        if key != consequence._TARGET:
+            rows.append(key)
+        return real(poly, key)
+
+    monkeypatch.setattr(consequence, "_integer_row", counted)
+    for k in (0, 3):
+        for _ in range(2):
+            rows.clear()
+            verify.verify_paper(SearchBounds(k))
+            assert len(rows) == 16, k
 
 
 def test_replays_sweep_and_load_each_algebra_once(monkeypatch):
